@@ -13,7 +13,7 @@
 //  * Cost — single-thread wall time per point, full vs reduced, plus the
 //    linear-solve count proxy (transient steps vs 2q moment solves).
 //  * Determinism — a kReducedDelay sweep run at 1 and 3 threads must be
-//    bit-identical (the mor::ConductanceReuse seeding contract).
+//    bit-identical (the sweep engine's point-0 G-record seeding contract).
 //
 // Honest-frontier note: the q >= 4 models sit well inside 1% on the damped
 // 2/3 of the grid (zeta >= 0.5) and the mean |error| stays near 1% overall,
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   std::size_t full_points = 0, reduced_points = 0;
   std::size_t transient_solves = 0;
 
-  mor::ConductanceReuse grid_reuse;  // one symbolic G factorization, reused
+  numeric::SymbolicRecord grid_reuse;  // one symbolic G factorization, reused
   for (double rt : rts) {
     for (double lt : lts) {
       for (double cl : cls) {

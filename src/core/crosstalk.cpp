@@ -222,6 +222,10 @@ CrosstalkMetrics analyze_crosstalk(const tline::CoupledBus& bus,
 
 namespace {
 
+numeric::SymbolicRecord* conductance_record(const CrosstalkOptions& options) {
+  return options.reuse ? &options.reuse->conductance : nullptr;
+}
+
 // Shared superposition + measurement tail of the reduced and projected
 // analyses. Superposition around the t = 0- DC point: every source
 // contributes its pre-switch level times its DC transfer (that sum is the
@@ -303,8 +307,7 @@ CrosstalkMetrics measure_superposition(
 CrosstalkMetrics analyze_crosstalk_reduced(const tline::CoupledBus& bus,
                                            SwitchingPattern pattern,
                                            const CrosstalkOptions& options,
-                                           int order,
-                                           mor::ConductanceReuse* reuse) {
+                                           int order) {
   validate_options(bus, options, "analyze_crosstalk_reduced");
   if (order < 1)
     throw std::invalid_argument("analyze_crosstalk_reduced: order must be >= 1");
@@ -316,7 +319,7 @@ CrosstalkMetrics analyze_crosstalk_reduced(const tline::CoupledBus& bus,
 
   const sim::MnaAssembler mna(circuit);
   const mor::LinearSystem linear = mor::make_linear_system(mna, {victim_node});
-  const mor::MomentGenerator generator(linear, reuse);
+  const mor::MomentGenerator generator(linear, conductance_record(options));
 
   // Transport-delay candidate bound for every transfer: the victim line's
   // own time of flight (the selection in reduce_transfer adapts downward).
@@ -352,8 +355,7 @@ CrosstalkMetrics analyze_crosstalk_reduced(const tline::CoupledBus& bus,
 mor::ArnoldiBasis crosstalk_projection_basis(const tline::CoupledBus& bus,
                                              SwitchingPattern pattern,
                                              const CrosstalkOptions& options,
-                                             int order,
-                                             mor::ConductanceReuse* reuse) {
+                                             int order) {
   validate_options(bus, options, "crosstalk_projection_basis");
   if (order < 1)
     throw std::invalid_argument(
@@ -370,7 +372,7 @@ mor::ArnoldiBasis crosstalk_projection_basis(const tline::CoupledBus& bus,
   // truncated: every driver keeps (at least) its DC match.
   const int basis_order = std::max(order, bus.lines);
   mor::ArnoldiBasis basis;
-  mor::arnoldi_reduce(linear, basis_order, reuse, &basis);
+  mor::arnoldi_reduce(linear, basis_order, conductance_record(options), &basis);
   return basis;
 }
 

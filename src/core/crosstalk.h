@@ -19,7 +19,6 @@
 #include <optional>
 #include <vector>
 
-#include "mor/moments.h"
 #include "mor/reduce.h"
 #include "sim/builders.h"
 #include "sim/mna.h"
@@ -77,7 +76,9 @@ struct CrosstalkOptions {
   double t_stop = 0.0;
   double dt = 0.0;
   sim::SolverKind solver = sim::SolverKind::kAuto;
-  // Optional cross-run symbolic-factorization reuse (sweep hot path).
+  // Optional cross-run symbolic-factorization reuse (sweep hot path): the
+  // transient path uses its system and DC records, the reduced and
+  // projected paths its conductance record.
   sim::SolverReuse* reuse = nullptr;
 };
 
@@ -121,27 +122,25 @@ CrosstalkMetrics analyze_crosstalk(const tline::CoupledBus& bus,
 // dynamics plus two-pole coupling terms whose signs encode the switching
 // pattern (the Miller effect on Cc falls out of the cross moments).
 //
-// `reuse` shares the symbolic factorization of G across sweep points
-// (mor::ConductanceReuse; same contract as sim::SolverReuse). Throws like
+// options.reuse, when set, shares the symbolic factorization of G across
+// sweep points through its `conductance` record. Throws like
 // analyze_crosstalk; additionally std::runtime_error if no stable reduced
 // model exists.
 CrosstalkMetrics analyze_crosstalk_reduced(const tline::CoupledBus& bus,
                                            SwitchingPattern pattern,
                                            const CrosstalkOptions& options,
-                                           int order = 4,
-                                           mor::ConductanceReuse* reuse = nullptr);
+                                           int order = 4);
 
 // Arnoldi-projection basis of the bus circuit at NOMINAL parameter values,
 // for reuse across a sweep: computed once (order is clamped up to the input
 // count so no driver loses its DC match), then analyze_crosstalk_projected
 // re-evaluates only the projected q x q pencil per point — sparse matvecs
-// and dense q x q work, no LU factorization at all. `reuse` shares the G
-// symbolic of the one Arnoldi run.
+// and dense q x q work, no LU factorization at all. The one Arnoldi run
+// factors G through options.reuse's `conductance` record, when set.
 mor::ArnoldiBasis crosstalk_projection_basis(const tline::CoupledBus& bus,
                                              SwitchingPattern pattern,
                                              const CrosstalkOptions& options,
-                                             int order,
-                                             mor::ConductanceReuse* reuse = nullptr);
+                                             int order);
 
 // analyze_crosstalk_reduced evaluated THROUGH a previously computed
 // projection basis (sweep::EngineOptions::reuse_projection). Exact at the

@@ -97,7 +97,7 @@ HTreeGraph build_h_tree(const HTreeSpec& spec) {
 
   // One reduced model per level, one symbolic factorization for all of them
   // (every level's stage circuit has the same topology).
-  mor::ConductanceReuse reuse;
+  numeric::SymbolicRecord reuse;
   std::vector<StageModel> models;
   models.reserve(spec.levels);
   for (int level = 0; level < spec.levels; ++level) {

@@ -55,8 +55,8 @@ double stage_edge(const HTreeSpec& spec, int level);
 
 // The graph form: 2^levels - 1 stage nodes in heap order (stage s's
 // children are 2s+1 / 2s+2; fanin output 0 = left arm, 1 = right arm), one
-// reduced StageModel per level shared by all stages of that level (one
-// mor::ConductanceReuse spans the build). `sinks` lists the 2^levels leaf
+// reduced StageModel per level shared by all stages of that level (one G
+// numeric::SymbolicRecord spans the build). `sinks` lists the 2^levels leaf
 // pins left to right.
 struct HTreeGraph {
   TimingGraph graph;

@@ -15,7 +15,7 @@ namespace rlcsim::graph {
 
 StageModel reduce_stage(const sim::Circuit& circuit,
                         const std::vector<std::string>& outputs, int order,
-                        double max_delay, mor::ConductanceReuse* reuse) {
+                        double max_delay, numeric::SymbolicRecord* reuse) {
   OBS_SPAN("graph.reduce_stage");
   OBS_COUNTER_ADD("graph.stage_reductions", 1);
   if (order < 1)

@@ -50,12 +50,12 @@ struct StageModel {
 // over ONE sparse G factorization. The circuit must contain exactly one
 // voltage source (the stage driver, input column 0) and no buffers;
 // `max_delay` bounds the transport-delay extraction (e.g. the driver->sink
-// time of flight). `reuse` shares the symbolic factorization across stages
-// with identical topology (an H-tree's levels, for instance).
+// time of flight). `reuse` is the G record shared across stages with
+// identical topology (an H-tree's levels, for instance).
 StageModel reduce_stage(const sim::Circuit& circuit,
                         const std::vector<std::string>& outputs, int order,
                         double max_delay,
-                        mor::ConductanceReuse* reuse = nullptr);
+                        numeric::SymbolicRecord* reuse = nullptr);
 
 // A fire-time source: output `output` of node `node`, or the primary input
 // (node = -1, which fires at t = 0).

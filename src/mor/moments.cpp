@@ -1,17 +1,9 @@
 #include "mor/moments.h"
 
 #include <stdexcept>
-
-#include "obs/obs.h"
+#include <utility>
 
 namespace rlcsim::mor {
-namespace {
-
-bool same_structure(const numeric::SparsePattern& a, const numeric::SparsePattern& b) {
-  return a.n == b.n && a.row_ptr == b.row_ptr && a.col_idx == b.col_idx;
-}
-
-}  // namespace
 
 LinearSystem make_linear_system(const sim::MnaAssembler& mna,
                                 const std::vector<std::string>& output_nodes) {
@@ -58,36 +50,16 @@ LinearSystem make_linear_system(const sim::MnaAssembler& mna,
 }
 
 MomentGenerator::MomentGenerator(const numeric::RealSparse& g,
-                                 numeric::RealSparse c, ConductanceReuse* reuse)
+                                 numeric::RealSparse c,
+                                 numeric::SymbolicRecord* reuse)
     : c_(std::move(c)) {
   if (g.size() != c_.size())
     throw std::invalid_argument("MomentGenerator: G and C size mismatch");
-
-  // Reuse contract (mirrors sim/transient.cpp): seed an empty record, replay
-  // a structurally identical one, and run WITHOUT reuse on a mismatch so the
-  // record never depends on which system a worker saw first.
-  if (reuse) {
-    if (!reuse->pattern) {
-      reuse->pattern = g.pattern_ptr();
-    } else if (!same_structure(*reuse->pattern, g.pattern())) {
-      reuse = nullptr;
-    }
-  }
-  if (reuse && reuse->symbolic) {
-    lu_.emplace(*reuse->symbolic);  // copy factors: reuse the symbolic
-    lu_->refactor(g);
-    ++reuse->reuse_hits;
-    OBS_COUNTER_ADD("reuse.conductance_hits", 1);
-  } else {
-    OBS_COUNTER_ADD("reuse.conductance_misses", 1);
-    lu_.emplace(g);
-    if (reuse)
-      reuse->symbolic = std::make_shared<const numeric::RealSparseLu>(*lu_);
-  }
+  lu_.emplace(numeric::factor_reusing(g, reuse));
 }
 
 MomentGenerator::MomentGenerator(const LinearSystem& system,
-                                 ConductanceReuse* reuse)
+                                 numeric::SymbolicRecord* reuse)
     : MomentGenerator(system.G, system.C, reuse) {}
 
 std::vector<double> MomentGenerator::solve(const std::vector<double>& b) const {

@@ -13,8 +13,8 @@
 // every reduction in mor/reduce.h (AWE/Pade and block Arnoldi alike), and
 // computing them costs ONE sparse LU factorization of G — performed by the
 // same numeric::SparseLu the transient/AC engines use, so its symbolic
-// analysis can be recorded once and replayed across all moment orders AND
-// all sweep points (ConductanceReuse, the mor analogue of sim::SolverReuse).
+// analysis can be recorded once (a numeric::SymbolicRecord for G) and
+// replayed across all moment orders AND all sweep points.
 //
 // Compare: a transient run solves thousands of (G + (factor/dt)C) systems;
 // a q-th order reduction solves 2q triangular systems against one factored
@@ -22,7 +22,6 @@
 // replayed at arbitrary order.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,32 +54,19 @@ struct LinearSystem {
 LinearSystem make_linear_system(const sim::MnaAssembler& mna,
                                 const std::vector<std::string>& output_nodes);
 
-// ------------------------------------------------------------------- reuse
-
-// Cross-point symbolic-factorization reuse for the G factorization, with the
-// exact contract of sim::SolverReuse: the first generator seeds the record,
-// later generators over a structurally identical pattern copy the recorded
-// symbolic and refactor numerically, and a mismatching pattern runs fresh
-// WITHOUT touching the record (so pivot orders never depend on evaluation
-// order — the sweep engine's bit-identical-at-any-thread-count guarantee).
-struct ConductanceReuse {
-  numeric::SparsePatternPtr pattern;
-  std::shared_ptr<const numeric::RealSparseLu> symbolic;
-  std::size_t reuse_hits = 0;
-};
-
 // --------------------------------------------------------------- generator
 
-// Factors G once (symbolic + numeric, or numeric-only via ConductanceReuse)
-// and serves the Krylov recurrence m_0 = G^{-1} b, m_{k+1} = -G^{-1} C m_k.
-// Throws std::runtime_error if G is singular (a node with no DC path — the
-// same circuits Circuit::validate() already rejects).
+// Factors G once through numeric::factor_reusing and serves the Krylov
+// recurrence m_0 = G^{-1} b, m_{k+1} = -G^{-1} C m_k. `reuse`, when given,
+// is the G record shared across sweep points (a SolverReuse's
+// `conductance`). Throws std::runtime_error if G is singular (a node with no
+// DC path — the same circuits Circuit::validate() already rejects).
 class MomentGenerator {
  public:
   MomentGenerator(const numeric::RealSparse& g, numeric::RealSparse c,
-                  ConductanceReuse* reuse = nullptr);
+                  numeric::SymbolicRecord* reuse = nullptr);
   explicit MomentGenerator(const LinearSystem& system,
-                           ConductanceReuse* reuse = nullptr);
+                           numeric::SymbolicRecord* reuse = nullptr);
 
   std::size_t size() const { return static_cast<std::size_t>(c_.size()); }
 

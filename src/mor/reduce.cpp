@@ -393,7 +393,8 @@ ReducedModel project_system(const LinearSystem& system,
 }  // namespace
 
 ReducedModel arnoldi_reduce(const LinearSystem& system, int order,
-                            ConductanceReuse* reuse, ArnoldiBasis* basis_out) {
+                            numeric::SymbolicRecord* reuse,
+                            ArnoldiBasis* basis_out) {
   OBS_SPAN("mor.arnoldi_reduce");
   OBS_COUNTER_ADD("mor.arnoldi_reductions", 1);
   if (order < 1)

@@ -129,7 +129,7 @@ struct ArnoldiBasis {
 // model than requested — check order(). `basis_out`, when given, receives
 // the projection basis for later project_onto() reuse.
 ReducedModel arnoldi_reduce(const LinearSystem& system, int order,
-                            ConductanceReuse* reuse = nullptr,
+                            numeric::SymbolicRecord* reuse = nullptr,
                             ArnoldiBasis* basis_out = nullptr);
 
 // Re-projects a (value-changed, structurally identical) system onto a

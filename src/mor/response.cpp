@@ -278,7 +278,7 @@ ResponseMetrics AnalyticResponse::measure(double drive_lo, double drive_hi,
 
 double reduced_gate_delay(const tline::GateLineLoad& system, int segments,
                           int order, double threshold,
-                          ConductanceReuse* reuse) {
+                          numeric::SymbolicRecord* reuse) {
   const sim::Circuit circuit = sim::build_gate_line_load(system, segments);
   const sim::MnaAssembler mna(circuit);
   const LinearSystem linear = make_linear_system(mna, {"out"});

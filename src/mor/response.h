@@ -114,6 +114,6 @@ class AnalyticResponse {
 // the reduced response never crosses.
 double reduced_gate_delay(const tline::GateLineLoad& system, int segments,
                           int order, double threshold = 0.5,
-                          ConductanceReuse* reuse = nullptr);
+                          numeric::SymbolicRecord* reuse = nullptr);
 
 }  // namespace rlcsim::mor

@@ -427,9 +427,7 @@ void SparseLu<T>::refactor(const SparseMatrix<T>& a) {
     // pointer makes every later refactor against it an O(1) check. This is
     // what lets a sweep reuse one symbolic analysis across circuits that are
     // rebuilt per grid point with identical topology.
-    if (!a.pattern_ptr() || !pattern_ || a.pattern().n != pattern_->n ||
-        a.pattern().row_ptr != pattern_->row_ptr ||
-        a.pattern().col_idx != pattern_->col_idx)
+    if (!a.pattern_ptr() || !pattern_ || !same_structure(a.pattern(), *pattern_))
       throw std::invalid_argument("SparseLu::refactor: pattern mismatch");
     pattern_ = a.pattern_ptr();
   }
@@ -474,5 +472,42 @@ void SparseLu<T>::solve_in_place(std::vector<T>& x) const {
 
 template class SparseLu<double>;
 template class SparseLu<std::complex<double>>;
+
+// ----------------------------------------------------------- symbolic reuse
+
+bool same_structure(const SparsePattern& a, const SparsePattern& b) {
+  return &a == &b ||
+         (a.n == b.n && a.row_ptr == b.row_ptr && a.col_idx == b.col_idx);
+}
+
+RealSparseLu factor_reusing(const RealSparse& a, SymbolicRecord* record,
+                            SymbolicRecord* local) {
+  if (local && local->symbolic) record = local;  // a later factorization
+  if (record && record->symbolic && !same_structure(*record->pattern, a.pattern())) {
+    OBS_COUNTER_ADD("reuse.mismatch", 1);
+    record = nullptr;  // factor fresh; the record stays as it was
+  }
+
+  if (record && record->symbolic) {
+    RealSparseLu lu(*record->symbolic);  // copy the factors: reuse the symbolic
+    lu.refactor(a);
+    if (record != local) {
+      ++record->hits;
+      OBS_COUNTER_ADD("reuse.hits", 1);
+      if (local) *local = {a.pattern_ptr(), record->symbolic};
+    }
+    return lu;
+  }
+
+  OBS_COUNTER_ADD("reuse.misses", 1);
+  RealSparseLu lu(a);
+  if (record || local) {
+    const SymbolicRecord seeded{a.pattern_ptr(),
+                                std::make_shared<const RealSparseLu>(lu)};
+    if (record) *record = seeded;
+    if (local) *local = seeded;
+  }
+  return lu;
+}
 
 }  // namespace rlcsim::numeric

@@ -285,4 +285,39 @@ class SparseLu {
 using RealSparseLu = SparseLu<double>;
 using ComplexSparseLu = SparseLu<std::complex<double>>;
 
+// ----------------------------------------------------------- symbolic reuse
+
+// True when two patterns have the same dimension and nonzero structure.
+bool same_structure(const SparsePattern& a, const SparsePattern& b);
+
+// The recorded pattern and symbolic factorization of one matrix kind: a
+// transient system G + (factor/dt)C, a DC system, or a conductance matrix G.
+// A sweep evaluates thousands of circuits that differ only in element
+// VALUES; replaying one record makes every factorization after the first a
+// numeric-only refactorization along the recorded pivot order. Replays
+// write `hits`, so a record serves one thread at a time: the sweep engine
+// gives each worker its own copy of one reference record, which keeps
+// results bit-identical at any thread count.
+struct SymbolicRecord {
+  SparsePatternPtr pattern;
+  std::shared_ptr<const RealSparseLu> symbolic;
+  std::size_t hits = 0;  // factorizations that replayed `symbolic`
+};
+
+// The one symbolic-reuse rule. Factors `a` through `record`:
+//  * no record: factor fresh;
+//  * empty record: factor fresh, then seed the record from it;
+//  * structurally identical record: copy the recorded factorization and
+//    refactor numerically (counted in `hits`);
+//  * mismatch: factor fresh and leave the record untouched (counted as
+//    `reuse.mismatch`), so which matrix seeded a record never changes the
+//    pivot order of another — reuse is an optimization, never a constraint.
+// `local`, when given, is the record of one analysis that factors several
+// matrices of one kind (a transient run: one per step size). Once it holds
+// a symbolic factorization the rule replays it instead of `record`, and the
+// first factorization leaves its symbolic factorization there whichever
+// case applied, so the whole analysis shares one symbolic analysis.
+RealSparseLu factor_reusing(const RealSparse& a, SymbolicRecord* record,
+                            SymbolicRecord* local = nullptr);
+
 }  // namespace rlcsim::numeric

@@ -36,7 +36,7 @@ RepeaterBusSpec spec_of(const tline::CoupledBus& bus,
 BusDesignEval evaluate(const tline::CoupledBus& bus,
                        const core::MinBuffer& buffer,
                        const OptimizerOptions& options, const Candidate& c,
-                       mor::ConductanceReuse* reuse) {
+                       numeric::SymbolicRecord* reuse) {
   const RepeaterBusSpec spec = spec_of(bus, buffer, options, c);
   // One model build serves all three pattern walks (the models depend on
   // the topology and values, never on the drive pattern).
@@ -130,7 +130,7 @@ BusOptimizationResult optimize_bus_repeaters(const tline::CoupledBus& bus,
   // records it; every other candidate copies the record, so pivot orders
   // (and results) never depend on the schedule.
   result.evaluations.assign(candidates.size(), BusDesignEval{});
-  std::map<std::pair<int, int>, mor::ConductanceReuse> donors;
+  std::map<std::pair<int, int>, numeric::SymbolicRecord> donors;
   std::vector<std::size_t> remaining;
   for (std::size_t idx = 0; idx < candidates.size(); ++idx) {
     const Candidate& c = candidates[idx];
@@ -145,7 +145,7 @@ BusOptimizationResult optimize_bus_repeaters(const tline::CoupledBus& bus,
                                           sweep::SweepEngine::PointContext&) {
     const std::size_t idx = remaining[r];
     const Candidate& c = candidates[idx];
-    mor::ConductanceReuse local =
+    numeric::SymbolicRecord local =
         donors.at({c.sections, c.shield_every});  // read-only copy per point
     result.evaluations[idx] = evaluate(bus, buffer, options, c, &local);
     return result.evaluations[idx].worst_delay;

@@ -13,7 +13,7 @@
 // Parallelism rides the sweep engine's pool with the same determinism
 // contract as every sweep: one reference candidate per distinct stage
 // TOPOLOGY (sections, shield layout) is evaluated serially to record its
-// symbolic G factorization (mor::ConductanceReuse), every remaining
+// symbolic G factorization (a numeric::SymbolicRecord), every remaining
 // candidate copies its group's record — results are bit-identical at any
 // thread count.
 #pragma once

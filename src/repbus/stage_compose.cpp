@@ -40,7 +40,7 @@ tline::CoupledBus section_bus(const tline::CoupledBus& bus, int sections) {
 }  // namespace
 
 StageModels build_stage_models(const RepeaterBusSpec& spec, int order,
-                               mor::ConductanceReuse* reuse) {
+                               numeric::SymbolicRecord* reuse) {
   validate(spec);
   if (order < 1)
     throw std::invalid_argument("build_stage_models: order must be >= 1");
@@ -328,7 +328,7 @@ ComposedChainMetrics compose_bus_chain(const RepeaterBusSpec& spec,
 
 ComposedChainMetrics compose_bus_chain(const RepeaterBusSpec& spec,
                                        core::SwitchingPattern pattern,
-                                       int order, mor::ConductanceReuse* reuse) {
+                                       int order, numeric::SymbolicRecord* reuse) {
   return compose_bus_chain(spec, pattern,
                            build_stage_models(spec, order, reuse));
 }

@@ -8,8 +8,9 @@
 //
 //   1. build_stage_models — AWE-reduce every (line output, line driver)
 //      transfer of the aligned N-line section ONCE (a single sparse G
-//      factorization via mor::ConductanceReuse; all stages share the
-//      topology, so all stages share the models);
+//      factorization, optionally replayed from a G record through
+//      numeric::factor_reusing; all stages share the topology, so all
+//      stages share the models);
 //   2. compose_bus_chain — walk the stages: each line's output waveform is
 //      the closed-form superposition (mor::AnalyticResponse) of every
 //      driver's ramp contribution, started at that driver's ABSOLUTE fire
@@ -64,11 +65,11 @@ struct StageModels {
 
 // Builds the section circuit (whole-bus totals scaled by 1/k, the same
 // r0/h drivers and h*c0 loads the chain's buffers present) and reduces
-// every signal-line pair over one G factorization. `reuse` shares the
-// symbolic factorization across calls with an identical section topology
-// (the optimizer's h-axis, for instance, only changes values).
+// every signal-line pair over one G factorization. `reuse` is the G record
+// shared across calls with an identical section topology (the optimizer's
+// h-axis, for instance, only changes values).
 StageModels build_stage_models(const RepeaterBusSpec& spec, int order,
-                               mor::ConductanceReuse* reuse = nullptr);
+                               numeric::SymbolicRecord* reuse = nullptr);
 
 struct ComposedChainMetrics {
   // Victim 50% crossing at the final receiver; absent for kQuietVictim.
@@ -183,6 +184,6 @@ ComposedChainMetrics compose_bus_chain(const RepeaterBusSpec& spec,
 ComposedChainMetrics compose_bus_chain(const RepeaterBusSpec& spec,
                                        core::SwitchingPattern pattern,
                                        int order,
-                                       mor::ConductanceReuse* reuse = nullptr);
+                                       numeric::SymbolicRecord* reuse = nullptr);
 
 }  // namespace rlcsim::repbus

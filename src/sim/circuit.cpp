@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace rlcsim::sim {
 namespace {
@@ -204,10 +205,34 @@ void Circuit::validate() const {
   if (node_names_.empty())
     throw std::invalid_argument("Circuit: no non-ground nodes");
 
+  const std::size_t n = node_names_.size();
+
+  // A loop of voltage sources fixes its loop voltage twice and makes the
+  // MNA matrix singular: union-find over the source terminals (ground is
+  // slot n) names the first source whose terminals are already joined.
+  std::vector<std::size_t> parent(n + 1);
+  for (std::size_t i = 0; i <= n; ++i) parent[i] = i;
+  const auto root = [&](NodeId node) {
+    std::size_t i = node == kGround ? n : static_cast<std::size_t>(node);
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
+  for (std::size_t k = 0; k < vsources_.size(); ++k) {
+    const VoltageSource& v = vsources_[k];
+    const std::size_t a = root(v.positive);
+    const std::size_t b = root(v.negative);
+    if (a == b) {
+      const std::string label = v.name.empty() ? std::to_string(k) : v.name;
+      throw std::invalid_argument("Circuit: voltage source '" + label +
+                                  "' closes a loop of voltage sources (e.g. "
+                                  "two in parallel)");
+    }
+    parent[a] = b;
+  }
+
   // Every node needs a DC path to ground for the MNA matrix to be
   // non-singular: walk the graph of R, L, V-source (and buffer-output)
   // edges from ground.
-  const std::size_t n = node_names_.size();
   std::vector<std::vector<std::size_t>> adjacency(n);
   std::vector<char> grounded(n, 0);
   auto link = [&](NodeId a, NodeId b) {

@@ -196,8 +196,9 @@ class Circuit {
 
   // Structural sanity checks; throws std::invalid_argument with a precise
   // message on: nonpositive R/C/L values, sources shorted to themselves,
-  // nodes with no DC path to ground (floating via capacitors only is
-  // reported), and empty circuits.
+  // loops made only of voltage sources (two in parallel, say; the message
+  // names the source that closes the loop), nodes with no DC path to ground
+  // (floating via capacitors only is reported), and empty circuits.
   void validate() const;
 
  private:

@@ -23,10 +23,6 @@ double node_voltage_of(const std::vector<double>& v, NodeId n) {
   return n == kGround ? 0.0 : v[static_cast<std::size_t>(n)];
 }
 
-bool same_structure(const numeric::SparsePattern& a, const numeric::SparsePattern& b) {
-  return a.n == b.n && a.row_ptr == b.row_ptr && a.col_idx == b.col_idx;
-}
-
 // One cached transient-system factorization: dense LU or sparse LU,
 // whichever the run's solver policy selected.
 struct CachedFactor {
@@ -112,25 +108,7 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
   const MnaAssembler assembler(circuit);
   const bool use_sparse = use_sparse_solver(options.solver, assembler.unknown_count());
 
-  // --- cross-run symbolic reuse (sweep hot path) ---------------------------
-  // Adopt the caller's recorded patterns when they structurally match this
-  // circuit's, so the recorded symbolic factorizations can be replayed; on a
-  // mismatch the reuse state is re-seeded from this run.
   SolverReuse* reuse = use_sparse ? options.reuse : nullptr;
-  numeric::SparsePatternPtr system_pattern = assembler.system_pattern();
-  if (reuse) {
-    if (!reuse->system_pattern) {
-      reuse->system_pattern = system_pattern;  // first run seeds the record
-    } else if (same_structure(*reuse->system_pattern, *system_pattern)) {
-      system_pattern = reuse->system_pattern;
-    } else {
-      // Different topology: run without reuse and leave the record alone.
-      // Re-seeding here would make later runs' pivot order depend on which
-      // circuit a worker happened to see first — breaking the sweep
-      // engine's bit-identical-at-any-thread-count guarantee.
-      reuse = nullptr;
-    }
-  }
 
   // --- initial state from the DC operating point --------------------------
   TransientState state;
@@ -140,27 +118,9 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
     const auto rhs = assembler.dc_rhs(0.0, empty);
     std::vector<double> dc_solution;
     if (use_sparse) {
-      numeric::RealSparse dc = assembler.dc_sparse(options.dc_gmin);
-      SolverReuse* dc_reuse = reuse;
-      if (dc_reuse) {
-        if (!dc_reuse->dc_pattern) {
-          dc_reuse->dc_pattern = dc.pattern_ptr();
-        } else if (same_structure(*dc_reuse->dc_pattern, dc.pattern())) {
-          dc = numeric::RealSparse(dc_reuse->dc_pattern, std::move(dc.values()));
-        } else {
-          dc_reuse = nullptr;  // same rationale as the system pattern above
-        }
-      }
-      if (dc_reuse && dc_reuse->dc_symbolic) {
-        numeric::RealSparseLu lu(*dc_reuse->dc_symbolic);  // copy: reuse symbolic
-        lu.refactor(dc);
-        dc_solution = lu.solve(rhs);
-      } else {
-        numeric::RealSparseLu lu(dc);
-        if (dc_reuse)
-          dc_reuse->dc_symbolic = std::make_shared<const numeric::RealSparseLu>(lu);
-        dc_solution = lu.solve(rhs);
-      }
+      dc_solution = numeric::factor_reusing(assembler.dc_sparse(options.dc_gmin),
+                                            reuse ? &reuse->dc : nullptr)
+                        .solve(rhs);
     } else {
       dc_solution = numeric::RealLu(assembler.dc_matrix(options.dc_gmin)).solve(rhs);
     }
@@ -189,18 +149,10 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
 
   std::map<std::pair<std::int64_t, int>, CachedFactor> lu_cache;
   std::size_t factorizations = 0;
-  // All sparse numeric factorizations share one symbolic analysis: the one
-  // recorded in `reuse` from a previous compatible run when available (the
-  // pattern never changes within a run, and a sweep's does not change across
-  // runs either), else the first factorization of this run.
-  const numeric::RealSparseLu* symbolic_donor =
-      (reuse && reuse->system_symbolic) ? reuse->system_symbolic.get() : nullptr;
-  if (symbolic_donor) {
-    ++reuse->reuse_hits;
-    OBS_COUNTER_ADD("reuse.solver_hits", 1);
-  } else {
-    OBS_COUNTER_ADD("reuse.solver_misses", 1);
-  }
+  // Every sparse factorization of this run shares one symbolic analysis,
+  // held in `run_system`: the caller's recorded one when it fits this
+  // circuit, else this run's first (see numeric::factor_reusing).
+  numeric::SymbolicRecord run_system;
   std::vector<double> system_values;  // reused CSR value buffer
 
   const auto factorized = [&](double dt, Integrator method) -> const CachedFactor& {
@@ -216,23 +168,13 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
       if (use_sparse) {
         assembler.system_values(MnaAssembler::transient_scale(dt, method),
                                 system_values);
-        const numeric::RealSparse a(system_pattern, system_values);
-        if (symbolic_donor) {
-          factor.sparse.emplace(*symbolic_donor);  // copy factors: reuse symbolic
-          factor.sparse->refactor(a);
-        } else {
-          factor.sparse.emplace(a);
-        }
+        factor.sparse.emplace(numeric::factor_reusing(
+            numeric::RealSparse(assembler.system_pattern(), system_values),
+            reuse ? &reuse->system : nullptr, &run_system));
       } else {
         factor.dense.emplace(assembler.transient_matrix(dt, method));
       }
       it = lu_cache.emplace(key, std::move(factor)).first;
-      if (use_sparse && !symbolic_donor) {
-        symbolic_donor = &*it->second.sparse;
-        if (reuse)
-          reuse->system_symbolic =
-              std::make_shared<const numeric::RealSparseLu>(*it->second.sparse);
-      }
       ++factorizations;
     }
     return it->second;

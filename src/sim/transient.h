@@ -15,14 +15,14 @@
 // fixed sparsity pattern (see sim/mna.h). Below kSparseSolverThreshold
 // unknowns the dense LU wins on constant factors and doubles as the
 // correctness oracle; at or above it the engine switches to the sparse LU,
-// whose symbolic factorization is computed once per run and shared by every
-// (dt, integrator) numeric factorization. Step sizes are quantized onto a
+// whose symbolic factorization is computed once per run (or replayed from
+// TransientOptions::reuse) and shared by every (dt, integrator) numeric
+// factorization. Step sizes are quantized onto a
 // min_dt_fraction grid before keying the LU cache, so breakpoint-clipped dt
 // values that differ only by ulps reuse one factorization instead of
 // triggering spurious refactorizations.
 #pragma once
 
-#include <memory>
 #include <set>
 #include <vector>
 
@@ -33,28 +33,17 @@
 
 namespace rlcsim::sim {
 
-// Cross-run sparse-solver state for sweeps: the sparsity patterns and
-// symbolic factorizations of a previous run over a topologically identical
-// circuit. A sweep evaluates thousands of circuits that differ only in
-// element VALUES; handing the same SolverReuse to every run on a thread
-// means the first run pays the symbolic analyses (system + DC) and every
-// later run does numeric-only refactorization along the recorded pivot
-// order. A run whose circuit has a structurally different pattern runs
-// WITHOUT reuse and leaves the recorded state untouched (so which circuit a
-// worker saw first can never change pivot orders) — reuse is an
-// optimization, never a correctness constraint.
-//
-// The donors are only ever copied from (SparseLu copy + refactor), so one
-// SolverReuse may be shared READ-ONLY by concurrent runs as long as no run
-// encounters a mismatching pattern; the sweep engine gives each worker its
-// own instance seeded from one reference run to keep results bit-identical
-// at any thread count.
+// Cross-run symbolic reuse for sweeps: one numeric::SymbolicRecord per
+// matrix kind a grid point factors, all replayed through the one rule
+// numeric::factor_reusing. A sweep evaluates thousands of circuits that
+// differ only in element VALUES; handing the same bundle to every point on
+// a worker means the first point pays the symbolic analyses and every later
+// point refactors numerically along the recorded pivot orders. A circuit of
+// another topology bypasses the records and leaves them untouched.
 struct SolverReuse {
-  numeric::SparsePatternPtr system_pattern;
-  std::shared_ptr<const numeric::RealSparseLu> system_symbolic;
-  numeric::SparsePatternPtr dc_pattern;
-  std::shared_ptr<const numeric::RealSparseLu> dc_symbolic;
-  std::size_t reuse_hits = 0;  // runs that reused a recorded symbolic
+  numeric::SymbolicRecord system;       // G + (factor/dt)C, the transient step
+  numeric::SymbolicRecord dc;           // the DC operating-point matrix
+  numeric::SymbolicRecord conductance;  // G alone, for mor moment generation
 };
 
 struct TransientOptions {
@@ -68,9 +57,10 @@ struct TransientOptions {
   // min_dt_fraction * dt before factorizing.
   double min_dt_fraction = 1e-9;  // min event step as a fraction of dt
   SolverKind solver = SolverKind::kAuto;
-  // Optional cross-run symbolic-factorization reuse (sweep hot path). The
-  // pointee must outlive the run; it is read and updated in place. Ignored
-  // on the dense solver path.
+  // Optional cross-run symbolic-factorization reuse (sweep hot path): the
+  // run factors its DC and system matrices through reuse->dc and
+  // reuse->system. The pointee must outlive the run. Ignored on the dense
+  // solver path.
   SolverReuse* reuse = nullptr;
 };
 

@@ -27,10 +27,6 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-bool same_structure(const numeric::SparsePattern& a, const numeric::SparsePattern& b) {
-  return a.n == b.n && a.row_ptr == b.row_ptr && a.col_idx == b.col_idx;
-}
-
 std::set<double> breakpoints_of(const Circuit& circuit, double t_stop) {
   std::set<double> breakpoints;
   breakpoints.insert(0.0);
@@ -64,9 +60,7 @@ std::optional<std::vector<double>> run_batched_crossings(
   // seeded SolverReuse each lane would pay (and pivot) its own symbolic
   // analysis, which is exactly the scalar path.
   SolverReuse* reuse = options.reuse;
-  if (!reuse || !reuse->system_pattern || !reuse->system_symbolic ||
-      !reuse->dc_pattern || !reuse->dc_symbolic)
-    return std::nullopt;
+  if (!reuse || !reuse->system.symbolic || !reuse->dc.symbolic) return std::nullopt;
 
   // Per-lane assemblers; every lane must be buffer-free (shared step grid),
   // observe an actual node, and match the recorded system pattern.
@@ -85,7 +79,7 @@ std::optional<std::vector<double>> run_batched_crossings(
   if (!use_sparse_solver(options.solver, unknowns)) return std::nullopt;
   for (const MnaAssembler& assembler : assemblers) {
     if (assembler.unknown_count() != unknowns) return std::nullopt;
-    if (!same_structure(*reuse->system_pattern, *assembler.system_pattern()))
+    if (!numeric::same_structure(*reuse->system.pattern, *assembler.system_pattern()))
       return std::nullopt;
   }
 
@@ -198,16 +192,16 @@ std::optional<std::vector<double>> run_batched_crossings(
 
   // --- batched DC operating point -----------------------------------------
   numeric::BatchedValues dc_values(
-      static_cast<std::size_t>(reuse->dc_pattern->nnz()), lanes);
+      static_cast<std::size_t>(reuse->dc.pattern->nnz()), lanes);
   numeric::BatchedValues dc_solution(unknowns, lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     const numeric::RealSparse dc = assemblers[lane].dc_sparse(options.dc_gmin);
-    if (!same_structure(dc.pattern(), *reuse->dc_pattern)) return std::nullopt;
+    if (!numeric::same_structure(dc.pattern(), *reuse->dc.pattern)) return std::nullopt;
     dc_values.set_lane(lane, dc.values());
     TransientState empty;  // buffer-free: no fire times to carry
     dc_solution.set_lane(lane, assemblers[lane].dc_rhs(0.0, empty));
   }
-  numeric::SparseLuBatch dc_lu(*reuse->dc_symbolic, lanes);
+  numeric::SparseLuBatch dc_lu(*reuse->dc.symbolic, lanes);
   dc_lu.refactor(dc_values);
   dc_lu.solve_in_place(dc_solution);
 
@@ -229,12 +223,12 @@ std::optional<std::vector<double>> run_batched_crossings(
     return static_cast<std::int64_t>(std::llround(dt / dt_quantum));
   };
   std::map<std::pair<std::int64_t, int>, numeric::SparseLuBatch> lu_cache;
-  reuse->reuse_hits += lanes;  // one replayed system symbolic per lane
-  OBS_COUNTER_ADD("reuse.solver_hits", lanes);
+  reuse->system.hits += lanes;  // one replayed system symbolic per lane
+  OBS_COUNTER_ADD("reuse.hits", lanes);
   OBS_COUNTER_ADD("batch.tiles", 1);
   OBS_COUNTER_ADD("batch.lanes", lanes);
   numeric::BatchedValues system_values(
-      static_cast<std::size_t>(reuse->system_pattern->nnz()), lanes);
+      static_cast<std::size_t>(reuse->system.pattern->nnz()), lanes);
 
   // last_* short-circuits the map on the common steady run of equal steps
   // (the key only changes at breakpoint-clipped steps and method switches).
@@ -258,7 +252,7 @@ std::optional<std::vector<double>> run_batched_crossings(
       const double scale = MnaAssembler::transient_scale(dt, method);
       for (std::size_t lane = 0; lane < lanes; ++lane)
         assemblers[lane].stamp_values_into(scale, system_values, lane);
-      numeric::SparseLuBatch factor(*reuse->system_symbolic, lanes);
+      numeric::SparseLuBatch factor(*reuse->system.symbolic, lanes);
       factor.refactor(system_values);
       it = lu_cache.emplace(key, std::move(factor)).first;
     }

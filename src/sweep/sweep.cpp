@@ -115,7 +115,6 @@ double transient_delay_of(const Scenario& scenario, const EngineOptions& options
 
 double evaluate_point(const Scenario& scenario, Analysis analysis,
                       const EngineOptions& options, sim::SolverReuse* reuse,
-                      mor::ConductanceReuse* mor_reuse,
                       const mor::ArnoldiBasis* basis = nullptr) {
   switch (analysis) {
     case Analysis::kClosedFormDelay:
@@ -160,7 +159,7 @@ double evaluate_point(const Scenario& scenario, Analysis analysis,
         const core::CrosstalkMetrics m =
             basis ? core::analyze_crosstalk_projected(bus, x.pattern, xt, *basis)
                   : core::analyze_crosstalk_reduced(bus, x.pattern, xt,
-                                                    x.reduction_order, mor_reuse);
+                                                    x.reduction_order);
         return analysis == Analysis::kReducedNoise
                    ? m.peak_noise
                    : m.victim_delay_50.value_or(kNaN);
@@ -191,7 +190,8 @@ double evaluate_point(const Scenario& scenario, Analysis analysis,
       spec.segments_per_section = options.segments;
       spec.shield_every = x.shield_every;
       const repbus::ComposedChainMetrics m = repbus::compose_bus_chain(
-          spec, x.pattern, x.reduction_order, mor_reuse);
+          spec, x.pattern, x.reduction_order,
+          reuse ? &reuse->conductance : nullptr);
       return analysis == Analysis::kBusRepeaterNoise
                  ? m.peak_noise
                  : m.victim_delay_50.value_or(kNaN);
@@ -200,19 +200,14 @@ double evaluate_point(const Scenario& scenario, Analysis analysis,
   throw std::invalid_argument("SweepEngine: unknown analysis");
 }
 
-// Analyses whose hot path is the MNA transient engine — these get the
-// recorded-symbolic reuse seeding in run().
-bool is_transient_analysis(Analysis analysis) {
+// Analyses that factor a sparse matrix per point (MNA transient, or mor
+// moment generation over G) — these get the point-0 reuse seeding in run().
+bool reuses_symbolic(Analysis analysis) {
   return analysis == Analysis::kTransientDelay ||
          analysis == Analysis::kCrosstalkDelay ||
          analysis == Analysis::kCrosstalkNoise ||
-         analysis == Analysis::kCrosstalkPushout;
-}
-
-// Analyses whose hot path is the mor/ moment engine — these get the
-// recorded G-symbolic (mor::ConductanceReuse) seeding in run().
-bool is_reduced_analysis(Analysis analysis) {
-  return analysis == Analysis::kReducedDelay ||
+         analysis == Analysis::kCrosstalkPushout ||
+         analysis == Analysis::kReducedDelay ||
          analysis == Analysis::kReducedNoise ||
          analysis == Analysis::kBusRepeaterDelay ||
          analysis == Analysis::kBusRepeaterNoise;
@@ -402,14 +397,13 @@ struct SweepEngine::Impl {
   // Shared result epilogue for run()/run_custom(): stats + timing.
   static void finalize(SweepResult& out, std::size_t points,
                        const std::vector<sim::SolverReuse>& reuse,
-                       const std::vector<mor::ConductanceReuse>& mor_reuse,
                        const std::atomic<std::size_t>& symbolic,
                        const std::atomic<std::size_t>& ejected,
                        const obs::Stopwatch& started) {
     out.symbolic_factorizations = symbolic.load();
     out.ejected_lanes = ejected.load();
-    for (const auto& r : reuse) out.solver_reuse_hits += r.reuse_hits;
-    for (const auto& r : mor_reuse) out.solver_reuse_hits += r.reuse_hits;
+    for (const auto& r : reuse)
+      out.solver_reuse_hits += r.system.hits + r.conductance.hits;
     // Wall time feeds ONLY the elapsed/points-per-second observability
     // metadata, never a result value; obs::Stopwatch is the sanctioned
     // clock access (the lint wallclock-scope rule bans ::now() here).
@@ -448,11 +442,9 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
   std::atomic<std::size_t> batched_points{0};
   std::atomic<std::size_t> scalar_points{0};
 
-  // Transient analyses replay a recorded (system + DC) symbolic pair;
-  // reduced analyses replay a recorded G symbolic. Both seeding paths share
-  // the same reference-evaluation scheme.
-  const bool seeded =
-      is_transient_analysis(analysis) || is_reduced_analysis(analysis);
+  // Transient analyses replay recorded system and DC symbolics, reduced
+  // analyses a recorded G symbolic, all from one reference evaluation.
+  const bool seeded = reuses_symbolic(analysis);
   // Basis-reuse sweeps: ONE Arnoldi projection at grid point 0 (recorded
   // below), every point re-projects onto it — no per-point factorization.
   const bool project = impl_->options.reuse_projection &&
@@ -461,7 +453,6 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
   mor::ArnoldiBasis basis;
   int basis_order = 0;  // the nominal reduction_order the basis was built at
   std::vector<sim::SolverReuse> reuse(impl_->pool.size());
-  std::vector<mor::ConductanceReuse> mor_reuse(impl_->pool.size());
   std::size_t first = 0;
   if (seeded && n > 0) {
     // Reference evaluation on the calling thread: records the shared MNA
@@ -470,24 +461,22 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
     // every thread count — the recorded pivot order, not the schedule,
     // determines every numeric factorization.
     sim::SolverReuse reference;
-    mor::ConductanceReuse mor_reference;
     const std::size_t before = numeric::sparse_lu_stats().symbolic;
     if (project) {
       const Scenario nominal = spec.at(0);
       basis_order = nominal.xtalk.reduction_order;
       basis = core::crosstalk_projection_basis(
           scenario_bus(nominal), nominal.xtalk.pattern,
-          scenario_crosstalk_options(nominal, impl_->options, nullptr),
-          basis_order, &mor_reference);
+          scenario_crosstalk_options(nominal, impl_->options, &reference),
+          basis_order);
       out.values[0] = evaluate_point(nominal, analysis, impl_->options,
-                                     &reference, &mor_reference, &basis);
+                                     &reference, &basis);
     } else {
-      out.values[0] = evaluate_point(spec.at(0), analysis, impl_->options,
-                                     &reference, &mor_reference);
+      out.values[0] =
+          evaluate_point(spec.at(0), analysis, impl_->options, &reference);
     }
     symbolic += numeric::sparse_lu_stats().symbolic - before;
     for (auto& r : reuse) r = reference;
-    for (auto& r : mor_reuse) r = mor_reference;
     scalar_points += 1;  // the reference point is always evaluated scalar
     first = 1;
   }
@@ -541,7 +530,7 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
         for (std::size_t k = 0; k < count; ++k)
           out.values[begin + k] =
               evaluate_point(spec.at(begin + k), analysis, options,
-                             &reuse[worker], &mor_reuse[worker]);
+                             &reuse[worker]);
       }
       (batched ? batched_points : scalar_points).fetch_add(count);
       symbolic.fetch_add(numeric::sparse_lu_stats().symbolic - before);
@@ -549,7 +538,7 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
     });
     out.batched_points = batched_points.load();
     out.scalar_points = scalar_points.load();
-    Impl::finalize(out, n, reuse, mor_reuse, symbolic, ejected, started);
+    Impl::finalize(out, n, reuse, symbolic, ejected, started);
     return out;
   }
 
@@ -567,14 +556,13 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
     const std::size_t before = numeric::sparse_lu_stats().symbolic;
     out.values[flat] = evaluate_point(scenario, analysis, options,
                                       seeded ? &reuse[worker] : nullptr,
-                                      seeded ? &mor_reuse[worker] : nullptr,
                                       point_projects ? &basis : nullptr);
     symbolic.fetch_add(numeric::sparse_lu_stats().symbolic - before);
   });
 
   out.batched_points = batched_points.load();
   out.scalar_points = scalar_points.load();
-  Impl::finalize(out, n, reuse, mor_reuse, symbolic, ejected, started);
+  Impl::finalize(out, n, reuse, symbolic, ejected, started);
   return out;
 }
 
@@ -592,18 +580,17 @@ SweepResult SweepEngine::run_custom(
   std::atomic<std::size_t> symbolic{0};
   std::atomic<std::size_t> ejected{0};
   std::vector<sim::SolverReuse> reuse(impl_->pool.size());
-  std::vector<mor::ConductanceReuse> mor_reuse(impl_->pool.size());
 
   impl_->pool.parallel_for(n, [&](std::size_t i, std::size_t worker) {
     OBS_SPAN("sweep.point");
-    PointContext ctx{&reuse[worker], &mor_reuse[worker], worker};
+    PointContext ctx{&reuse[worker], worker};
     const std::size_t before = numeric::sparse_lu_stats().symbolic;
     out.values[i] = eval(i, ctx);
     symbolic.fetch_add(numeric::sparse_lu_stats().symbolic - before);
   });
 
   out.scalar_points = n;  // custom evaluators never batch
-  Impl::finalize(out, n, reuse, mor_reuse, symbolic, ejected, started);
+  Impl::finalize(out, n, reuse, symbolic, ejected, started);
   return out;
 }
 

@@ -8,15 +8,15 @@
 // and the engine evaluates every grid point on a work-stealing thread pool
 // (runtime/thread_pool.h).
 //
-// Transient sweeps additionally reuse the sparse solver's symbolic
-// factorization across grid points: every point rebuilds a topologically
-// identical ladder, so the engine evaluates grid point 0 once on the calling
-// thread to record the MNA sparsity pattern plus the symbolic (system + DC)
-// factorizations, then seeds every worker with that reference state
-// (sim::SolverReuse). A 10k-point transient sweep therefore performs ONE
-// symbolic analysis per matrix kind, total, and 10k cheap numeric
-// refactorizations — and because every point replays the same recorded
-// pivot order, sweep results are bit-identical at every thread count.
+// Transient and reduced-order sweeps additionally reuse the sparse solver's
+// symbolic factorizations across grid points: every point rebuilds a
+// topologically identical circuit, so the engine evaluates grid point 0 once
+// on the calling thread to record them (system and DC, or G) in one
+// sim::SolverReuse, then seeds every worker with a copy of it. A 10k-point
+// transient sweep therefore performs ONE symbolic analysis per matrix kind,
+// total, and 10k cheap numeric refactorizations — and because every point
+// replays the same recorded pivot order, sweep results are bit-identical at
+// every thread count.
 #pragma once
 
 #include <cstddef>
@@ -193,7 +193,9 @@ struct SweepResult {
   // sweeps: 2 — one system, one DC; reduced sweeps: 1 — the G factorization
   // — however many points and threads).
   std::size_t symbolic_factorizations = 0;
-  std::size_t solver_reuse_hits = 0;  // runs that replayed a recorded symbolic
+  // Transient runs (one per lane when batched) and moment generators that
+  // replayed a recorded symbolic: the system and G records' hits.
+  std::size_t solver_reuse_hits = 0;
   // Batch lanes ejected to the scalar zero-pivot fallback across the sweep
   // (0 on the scalar path; a nonzero count on a batched sweep is legal but
   // worth surfacing — every ejection is a full scalar refactorization).
@@ -239,7 +241,6 @@ class SweepEngine {
   // the reuse yourself or use run(), which does).
   struct PointContext {
     sim::SolverReuse* reuse = nullptr;
-    mor::ConductanceReuse* mor_reuse = nullptr;  // for reduced-order points
     std::size_t worker = 0;
   };
   SweepResult run_custom(

@@ -113,6 +113,40 @@ TEST(Validate, InductorAndVsourceCountAsDcPaths) {
   EXPECT_NO_THROW(c.validate());
 }
 
+TEST(Validate, VoltageSourceLoopNamesTheClosingSource) {
+  Circuit parallel;
+  parallel.add_voltage_source("in", "0", DcSpec{1.0}, "v1");
+  parallel.add_voltage_source("in", "0", DcSpec{2.0}, "v2");
+  parallel.add_resistor("in", "0", 100.0);
+  try {
+    parallel.validate();
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'v2'"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("loop"), std::string::npos) << e.what();
+  }
+
+  // A three-source ring through ground, closed by the last one.
+  Circuit ring;
+  ring.add_voltage_source("a", "0", DcSpec{1.0}, "va");
+  ring.add_voltage_source("b", "a", DcSpec{1.0}, "vb");
+  ring.add_voltage_source("b", "0", DcSpec{2.0}, "vc");
+  ring.add_resistor("b", "0", 100.0);
+  try {
+    ring.validate();
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'vc'"), std::string::npos) << e.what();
+  }
+
+  // Sources in series are no loop.
+  Circuit series;
+  series.add_voltage_source("a", "0", DcSpec{1.0}, "va");
+  series.add_voltage_source("b", "a", DcSpec{1.0}, "vb");
+  series.add_resistor("b", "0", 100.0);
+  EXPECT_NO_THROW(series.validate());
+}
+
 TEST(Validate, BufferOutputIsGrounded) {
   Circuit c;
   c.add_voltage_source("in", "0", StepSpec{});

@@ -5,6 +5,7 @@
 // analyses (one symbolic factorization, bit-identical at any thread count).
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "mor/reduce.h"
 #include "mor/response.h"
 #include "numeric/sparse.h"
+#include "obs/metrics.h"
 #include "sim/builders.h"
 #include "sweep/sweep.h"
 #include "tline/transfer.h"
@@ -77,7 +79,7 @@ TEST(Moments, MakeLinearSystemRejectsUnknownNode) {
 
 TEST(Moments, ConductanceReuseReplaysOneSymbolic) {
   const mor::LinearSystem linear = linear_system_of(kSystem, 40);
-  mor::ConductanceReuse reuse;
+  numeric::SymbolicRecord reuse;
   numeric::sparse_lu_stats() = {};
   const mor::MomentGenerator first(linear, &reuse);
   EXPECT_EQ(numeric::sparse_lu_stats().symbolic, 1u);
@@ -86,12 +88,19 @@ TEST(Moments, ConductanceReuseReplaysOneSymbolic) {
       linear_system_of({600.0, {1200.0, 2e-7, 1.5e-12}, 0.4e-12}, 40);
   const mor::MomentGenerator second(again, &reuse);
   EXPECT_EQ(numeric::sparse_lu_stats().symbolic, 1u);
-  EXPECT_EQ(reuse.reuse_hits, 1u);
-  // A structurally DIFFERENT system must not touch the record.
+  EXPECT_EQ(reuse.hits, 1u);
+  // A structurally DIFFERENT system must not touch the record, and the
+  // bypass is counted.
+  const obs::Counter mismatch("reuse.mismatch");
+  const std::uint64_t mismatches = mismatch.this_thread_value();
+  const auto recorded = reuse.symbolic;
   const mor::LinearSystem other = linear_system_of(kSystem, 17);
   const mor::MomentGenerator third(other, &reuse);
   EXPECT_EQ(numeric::sparse_lu_stats().symbolic, 2u);
-  EXPECT_EQ(reuse.reuse_hits, 1u);
+  EXPECT_EQ(reuse.hits, 1u);
+  EXPECT_EQ(reuse.symbolic, recorded);
+  EXPECT_EQ(mismatch.this_thread_value(),
+            mismatches + (obs::metrics_enabled() ? 1 : 0));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "sim/netlist_parser.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -199,6 +200,20 @@ TEST(ParserErrors, StructuralErrorsCarryLineNumbers) {
   expect_parse_error("V1 a 0 DC 1\nL1 a 0 1n\nK1 L1 L9 0.5\n", 3, "L9");
   // K-card coupling an inductor to itself.
   expect_parse_error("V1 a 0 DC 1\nL1 a 0 1n\nK1 L1 L1 0.5\n", 3, "itself");
+}
+
+TEST(ParserErrors, ParallelVoltageSourcesNameTheLoop) {
+  // Parses fine, but two sources in parallel leave the MNA matrix singular:
+  // simulating names the source that closes the loop instead of reporting
+  // a bare singular matrix.
+  const auto parsed = parse_netlist("V1 a 0 DC 1\nV2 a 0 DC 2\nR1 a 0 1k\n.tran 1p 1n\n");
+  try {
+    (void)run_transient(parsed.circuit, *parsed.tran);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'V2'"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("loop"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ParserErrors, MalformedLines) {

@@ -1,9 +1,16 @@
 #include "sim/transient.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "obs/metrics.h"
+#include "sim/builders.h"
 
 namespace {
 
@@ -154,6 +161,57 @@ TEST(Transient, LuFactorizationsAreCached) {
   EXPECT_EQ(r.steps_taken, 4000u);
   // DC + (BE and trapezoidal at the fixed dt) ~ a handful, not thousands.
   EXPECT_LE(r.lu_factorizations, 6u);
+}
+
+// Every recorded sample of a run, time axis first, then each node in name
+// order: equal vectors of these are a byte-for-byte equal run.
+std::vector<double> recorded_samples(const TransientResult& r) {
+  std::vector<double> out = r.waveforms.time();
+  for (const std::string& node : r.waveforms.node_names()) {
+    const std::vector<double> v = r.waveforms.trace(node).value();
+    out.insert(out.end(), v.begin(), v.end());
+  }
+  return out;
+}
+
+TEST(Transient, MismatchedReuseRunsFreshAndLeavesTheRecord) {
+  const rlcsim::tline::GateLineLoad system{500.0, {1000.0, 1e-7, 1e-12}, 0.5e-12};
+  TransientOptions opt;
+  opt.t_stop = default_transient_horizon(system);
+  opt.solver = SolverKind::kSparse;
+
+  SolverReuse reuse;
+  opt.reuse = &reuse;
+  (void)run_transient(build_gate_line_load(system, 25), opt);
+  const auto system_symbolic = reuse.system.symbolic;
+  const auto dc_symbolic = reuse.dc.symbolic;
+  ASSERT_TRUE(system_symbolic);
+  ASSERT_TRUE(dc_symbolic);
+
+  // A 30-segment ladder fits neither recorded pattern: it must run as if no
+  // reuse were passed, and leave both records as the 25-segment run left
+  // them. Each bypassed record (system and DC) counts one mismatch.
+  const Circuit longer = build_gate_line_load(system, 30);
+  const rlcsim::obs::Counter mismatch("reuse.mismatch");
+  const std::uint64_t before = mismatch.this_thread_value();
+  const std::size_t symbolic_before = rlcsim::numeric::sparse_lu_stats().symbolic;
+  const TransientResult through_reuse = run_transient(longer, opt);
+  const std::uint64_t counted = mismatch.this_thread_value() - before;
+  // Still one symbolic analysis per matrix kind: every step size of the run
+  // shares the run's own.
+  EXPECT_EQ(rlcsim::numeric::sparse_lu_stats().symbolic - symbolic_before, 2u);
+  opt.reuse = nullptr;
+  const TransientResult fresh = run_transient(longer, opt);
+
+  const std::vector<double> a = recorded_samples(through_reuse);
+  const std::vector<double> b = recorded_samples(fresh);
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+  EXPECT_EQ(through_reuse.lu_factorizations, fresh.lu_factorizations);
+  EXPECT_EQ(reuse.system.symbolic, system_symbolic);
+  EXPECT_EQ(reuse.dc.symbolic, dc_symbolic);
+  EXPECT_EQ(reuse.system.hits, 0u);
+  EXPECT_EQ(counted, rlcsim::obs::metrics_enabled() ? 2u : 0u);
 }
 
 TEST(Transient, OptionValidation) {

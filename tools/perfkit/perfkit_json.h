@@ -92,8 +92,17 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Each nesting level is one recursion frame: cap the depth so a
+        // hostile `[[[...` file fails here instead of overflowing the stack.
+        if (depth_ == kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        ++depth_;
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::kString;
@@ -223,7 +232,11 @@ class Parser {
     return v;
   }
 
+  // The repo's own documents nest a handful of levels deep.
+  static constexpr int kMaxDepth = 256;
+
   const std::string& text_;
+  int depth_ = 0;
   std::size_t pos_ = 0;
 };
 

@@ -247,11 +247,11 @@ int main(int argc, char** argv) {
                   counter("pool.steals"), tasks);
     report.push_back(line);
     const double lu_dt = counter("cache.lu_dt.hits") + counter("cache.lu_dt.misses");
-    const double reuse = counter("reuse.solver_hits") + counter("reuse.solver_misses");
+    const double reuse = counter("reuse.hits") + counter("reuse.misses");
     std::snprintf(line, sizeof line,
-                  "  cache.lu_dt hit rate: %.3f   reuse.solver hit rate: %.3f",
+                  "  cache.lu_dt hit rate: %.3f   reuse hit rate: %.3f",
                   lu_dt > 0.0 ? counter("cache.lu_dt.hits") / lu_dt : 0.0,
-                  reuse > 0.0 ? counter("reuse.solver_hits") / reuse : 0.0);
+                  reuse > 0.0 ? counter("reuse.hits") / reuse : 0.0);
     report.push_back(line);
   }
 
