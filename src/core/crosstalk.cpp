@@ -199,9 +199,12 @@ CrosstalkMetrics analyze_crosstalk(const tline::CoupledBus& bus,
     // (not fatal) in the degenerate-damping corner.
     metrics.isolated_delay_two_pole = isolated_two_pole_delay(isolated);
     // The Miller-degraded corner can be much slower than the isolated
-    // estimate the horizon comes from; run_until_crossing auto-extends.
+    // estimate the horizon comes from; run_until_crossing auto-extends. The
+    // noise scan below reads the whole window, so the run does not stop at
+    // the crossing.
     sim::DelayRun run = sim::run_until_crossing(
-        circuit, victim_node, 0.5 * options.vdd, transient, "analyze_crosstalk");
+        circuit, victim_node, 0.5 * options.vdd, transient, "analyze_crosstalk",
+        sim::CrossingWindow::kFullWindow);
     victim = run.result.waveforms.trace(victim_node);
     metrics.victim_delay_50 = run.crossing;
     if (metrics.isolated_delay_two_pole)

@@ -89,17 +89,25 @@ std::optional<double> find_crossing(const std::vector<double>& xs,
                                     const std::vector<double>& ys, double level,
                                     double x_from, int direction) {
   validate_grid(xs, ys);
-  for (std::size_t i = 0; i + 1 < xs.size(); ++i) {
-    if (xs[i + 1] < x_from) continue;
-    const double y0 = ys[i] - level;
-    const double y1 = ys[i + 1] - level;
-    const bool rising = y0 < 0.0 && y1 >= 0.0;
-    const bool falling = y0 > 0.0 && y1 <= 0.0;
-    if ((direction >= 0 && rising) || (direction <= 0 && falling)) {
-      const double t = (y1 == y0) ? 0.0 : -y0 / (y1 - y0);
-      const double x = xs[i] + t * (xs[i + 1] - xs[i]);
-      if (x >= x_from) return x;
-    }
+  for (std::size_t i = 0; i + 1 < xs.size(); ++i)
+    if (const auto x = interval_crossing(xs[i], xs[i + 1], ys[i], ys[i + 1],
+                                         level, x_from, direction))
+      return x;
+  return std::nullopt;
+}
+
+std::optional<double> interval_crossing(double x0, double x1, double y0,
+                                        double y1, double level,
+                                        double x_from, int direction) {
+  if (x1 < x_from) return std::nullopt;
+  const double d0 = y0 - level;
+  const double d1 = y1 - level;
+  const bool rising = d0 < 0.0 && d1 >= 0.0;
+  const bool falling = d0 > 0.0 && d1 <= 0.0;
+  if ((direction >= 0 && rising) || (direction <= 0 && falling)) {
+    const double t = (d1 == d0) ? 0.0 : -d0 / (d1 - d0);
+    const double x = x0 + t * (x1 - x0);
+    if (x >= x_from) return x;
   }
   return std::nullopt;
 }

@@ -34,4 +34,13 @@ std::optional<double> find_crossing(const std::vector<double>& xs,
                                     const std::vector<double>& ys, double level,
                                     double x_from = 0.0, int direction = 0);
 
+// find_crossing's test and interpolation on ONE sample interval
+// [(x0, y0), (x1, y1)]. find_crossing is this applied to each interval in
+// order, so a transient stepper that checks every new interval as it is
+// produced stops at exactly the interval, and value, a full-record search
+// would return.
+std::optional<double> interval_crossing(double x0, double x1, double y0,
+                                        double y1, double level,
+                                        double x_from = 0.0, int direction = 0);
+
 }  // namespace rlcsim::numeric

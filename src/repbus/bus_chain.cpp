@@ -308,9 +308,12 @@ ChainMetrics simulate_bus_chain(const RepeaterBusSpec& spec,
   ChainMetrics metrics;
   sim::TransientResult result;
   if (victim_switches) {
+    // The noise and glitch scans read the whole window: no stop at the
+    // crossing.
     sim::DelayRun run =
         sim::run_until_crossing(chain.circuit, node, 0.5 * spec.vdd, transient,
-                                "simulate_bus_chain");
+                                "simulate_bus_chain",
+                                sim::CrossingWindow::kFullWindow);
     result = std::move(run.result);
     metrics.victim_delay_50 = run.crossing;
   } else {

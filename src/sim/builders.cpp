@@ -107,18 +107,15 @@ double default_transient_horizon(const tline::GateLineLoad& system) {
 
 DelayRun run_until_crossing(const Circuit& circuit, const std::string& node,
                             double level, TransientOptions options,
-                            const char* context) {
-  const double dt0 = options.dt;
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    TransientResult result = run_transient(circuit, options);
-    const auto crossing = result.waveforms.trace(node).crossing(level, 0.0, +1);
-    if (crossing) return {std::move(result), *crossing};
-    options.t_stop *= 4.0;
-    options.dt = dt0;  // keep caller's dt policy (0 re-derives from t_stop)
-  }
-  throw std::runtime_error(std::string(context) + ": '" + node +
-                           "' never crossed the threshold within the "
-                           "(auto-extended) horizon");
+                            const char* context, CrossingWindow window) {
+  options.probe = TransientProbe{node, level, window};
+  TransientResult result = run_transient(circuit, options);
+  if (!result.crossing)
+    throw std::runtime_error(std::string(context) + ": '" + node +
+                             "' never crossed the threshold within the "
+                             "(auto-extended) horizon");
+  const double crossing = *result.crossing;
+  return {std::move(result), crossing};
 }
 
 double simulate_gate_line_delay(const tline::GateLineLoad& system, int segments,

@@ -71,19 +71,24 @@ Circuit build_gate_line_load(const tline::GateLineLoad& system, int segments,
 // time of flight.
 double default_transient_horizon(const tline::GateLineLoad& system);
 
-// Runs a transient and returns the result together with the first rising
-// crossing of `level` at `node`. If the response has not crossed within
-// options.t_stop, the horizon is extended x4 (up to 4 attempts, resetting
-// dt to the caller's policy each time — 0 re-derives from t_stop); throws
-// std::runtime_error prefixed with `context` if it never crosses. The shared
-// auto-extend policy of every delay-measuring entry point.
+// Runs a transient probing `node` (TransientOptions::probe) and returns the
+// result together with its first rising crossing of `level`. If the
+// response has not crossed within options.t_stop, the run steps on from
+// where it is, at the same dt, to 4x the horizon, up to
+// kMaxHorizonExtensions times (4x/16x/64x); throws std::runtime_error
+// prefixed with `context` if it never crosses. The shared auto-extend
+// policy of every delay-measuring entry point. kStopAtCrossing (delay-only
+// callers) records `node` alone and stops at the step that brackets the
+// crossing; kFullWindow (callers that also scan the waveform) records every
+// node to the end of the window, extended or not, that holds the crossing.
 struct DelayRun {
   TransientResult result;
   double crossing = 0.0;  // s
 };
 DelayRun run_until_crossing(const Circuit& circuit, const std::string& node,
                             double level, TransientOptions options,
-                            const char* context);
+                            const char* context,
+                            CrossingWindow window = CrossingWindow::kStopAtCrossing);
 
 // Convenience: simulate build_gate_line_load and return the 50% delay of
 // "out". `t_stop` = 0 picks a horizon from the system's time scales

@@ -1,6 +1,5 @@
 #include "sim/circuit.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <stdexcept>
@@ -9,15 +8,12 @@
 namespace rlcsim::sim {
 namespace {
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s;
-}
-
 bool is_ground_name(const std::string& name) {
-  const std::string l = lower(name);
-  return l == "0" || l == "gnd";
+  const auto lower = [&](std::size_t i) {
+    return static_cast<char>(std::tolower(static_cast<unsigned char>(name[i])));
+  };
+  return name == "0" ||
+         (name.size() == 3 && lower(0) == 'g' && lower(1) == 'n' && lower(2) == 'd');
 }
 
 double pwl_value(const PwlSpec& spec, double t) {
@@ -75,17 +71,17 @@ double source_value(const SourceSpec& spec, double t) {
 
 NodeId Circuit::node(const std::string& name) {
   if (is_ground_name(name)) return kGround;
-  for (std::size_t i = 0; i < node_names_.size(); ++i)
-    if (node_names_[i] == name) return static_cast<NodeId>(i);
-  node_names_.push_back(name);
-  return static_cast<NodeId>(node_names_.size() - 1);
+  const auto [it, added] =
+      node_ids_.try_emplace(name, static_cast<NodeId>(node_names_.size()));
+  if (added) node_names_.push_back(name);
+  return it->second;
 }
 
 std::optional<NodeId> Circuit::find_node(const std::string& name) const {
   if (is_ground_name(name)) return kGround;
-  for (std::size_t i = 0; i < node_names_.size(); ++i)
-    if (node_names_[i] == name) return static_cast<NodeId>(i);
-  return std::nullopt;
+  const auto it = node_ids_.find(name);
+  if (it == node_ids_.end()) return std::nullopt;
+  return it->second;
 }
 
 const std::string& Circuit::node_name(NodeId id) const {
@@ -231,46 +227,18 @@ void Circuit::validate() const {
   }
 
   // Every node needs a DC path to ground for the MNA matrix to be
-  // non-singular: walk the graph of R, L, V-source (and buffer-output)
-  // edges from ground.
-  std::vector<std::vector<std::size_t>> adjacency(n);
-  std::vector<char> grounded(n, 0);
-  auto link = [&](NodeId a, NodeId b) {
-    if (a == kGround && b == kGround) return;
-    if (a == kGround) {
-      grounded[static_cast<std::size_t>(b)] = 1;
-      return;
-    }
-    if (b == kGround) {
-      grounded[static_cast<std::size_t>(a)] = 1;
-      return;
-    }
-    adjacency[static_cast<std::size_t>(a)].push_back(static_cast<std::size_t>(b));
-    adjacency[static_cast<std::size_t>(b)].push_back(static_cast<std::size_t>(a));
-  };
-  for (const auto& r : resistors_) link(r.n1, r.n2);
-  for (const auto& l : inductors_) link(l.n1, l.n2);
-  for (const auto& v : vsources_) link(v.positive, v.negative);
-  // A buffer's output stage is a source behind a resistor to ground.
-  for (const auto& b : buffers_)
-    if (b.output != kGround) grounded[static_cast<std::size_t>(b.output)] = 1;
-
-  std::vector<char> reached = grounded;
-  std::vector<std::size_t> stack;
-  for (std::size_t i = 0; i < n; ++i)
-    if (reached[i]) stack.push_back(i);
-  while (!stack.empty()) {
-    const std::size_t v = stack.back();
-    stack.pop_back();
-    for (std::size_t w : adjacency[v]) {
-      if (!reached[w]) {
-        reached[w] = 1;
-        stack.push_back(w);
-      }
-    }
-  }
+  // non-singular: join the terminals of every R, L and V-source edge (and
+  // each buffer output, a source behind a resistor to ground) and require
+  // each node to share ground's set (the union-find above, reset).
+  for (std::size_t i = 0; i <= n; ++i) parent[i] = i;
+  const auto join = [&](NodeId a, NodeId b) { parent[root(a)] = root(b); };
+  for (const auto& r : resistors_) join(r.n1, r.n2);
+  for (const auto& l : inductors_) join(l.n1, l.n2);
+  for (const auto& v : vsources_) join(v.positive, v.negative);
+  for (const auto& b : buffers_) join(b.output, kGround);
+  const std::size_t ground = root(kGround);
   for (std::size_t i = 0; i < n; ++i) {
-    if (!reached[i])
+    if (root(static_cast<NodeId>(i)) != ground)
       throw std::invalid_argument("Circuit: node '" + node_names_[i] +
                                   "' has no DC path to ground");
   }

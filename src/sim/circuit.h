@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <map>
 #include <optional>
 #include <string>
 #include <variant>
@@ -203,6 +204,7 @@ class Circuit {
 
  private:
   std::vector<std::string> node_names_;
+  std::map<std::string, NodeId, std::less<>> node_ids_;  // name -> index
   std::vector<Resistor> resistors_;
   std::vector<Capacitor> capacitors_;
   std::vector<Inductor> inductors_;

@@ -1,5 +1,6 @@
 #include "sim/mna.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -60,12 +61,28 @@ bool use_sparse_solver(SolverKind solver, std::size_t unknowns) {
 }
 
 MnaAssembler::MnaAssembler(const Circuit& circuit) : circuit_(circuit) {
-  circuit_.validate();
-  n_nodes_ = circuit_.node_count();
-  vsource_base_ = n_nodes_;
-  inductor_base_ = vsource_base_ + circuit_.voltage_sources().size();
-  n_unknowns_ = inductor_base_ + circuit_.inductors().size();
-  stamp_system();
+  stamp_triplets();
+  build_system_pattern();
+}
+
+MnaAssembler::MnaAssembler(const Circuit& circuit, const MnaAssembler& like)
+    : circuit_(circuit) {
+  const auto same_entries = [](const std::vector<numeric::Triplet<double>>& a,
+                               const std::vector<numeric::Triplet<double>>& b) {
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(), [](const auto& x, const auto& y) {
+             return x.row == y.row && x.col == y.col;
+           });
+  };
+  stamp_triplets();
+  if (n_unknowns_ == like.n_unknowns_ && same_entries(g_triplets_, like.g_triplets_) &&
+      same_entries(c_triplets_, like.c_triplets_)) {
+    pattern_ = like.pattern_;
+    g_slots_ = like.g_slots_;
+    c_slots_ = like.c_slots_;
+  } else {
+    build_system_pattern();
+  }
 }
 
 std::size_t MnaAssembler::vsource_branch(std::size_t vsource_index) const {
@@ -76,7 +93,13 @@ std::size_t MnaAssembler::inductor_branch(std::size_t inductor_index) const {
   return inductor_base_ + inductor_index;
 }
 
-void MnaAssembler::stamp_system() {
+void MnaAssembler::stamp_triplets() {
+  circuit_.validate();
+  n_nodes_ = circuit_.node_count();
+  vsource_base_ = n_nodes_;
+  inductor_base_ = vsource_base_ + circuit_.voltage_sources().size();
+  n_unknowns_ = inductor_base_ + circuit_.inductors().size();
+
   // ---- G: conductances and incidence (timestep/frequency independent) ----
   for (const auto& r : circuit_.resistors())
     stamp_conductance(g_triplets_, r.n1, r.n2, 1.0 / r.resistance);
@@ -113,7 +136,9 @@ void MnaAssembler::stamp_system() {
     c_triplets_.push_back({ja, jb, -mutual.mutual});
     c_triplets_.push_back({jb, ja, -mutual.mutual});
   }
+}
 
+void MnaAssembler::build_system_pattern() {
   // ---- merged pattern + value slots --------------------------------------
   std::vector<std::pair<int, int>> positions;
   positions.reserve(g_triplets_.size() + c_triplets_.size());
@@ -208,6 +233,36 @@ double MnaAssembler::transient_scale(double dt, Integrator method) {
 }
 
 numeric::RealSparse MnaAssembler::dc_sparse(double gmin) const {
+  return numeric::RealSparse(static_cast<int>(n_unknowns_), dc_triplets(gmin));
+}
+
+bool MnaAssembler::dc_values_into(double gmin, const numeric::SparsePattern& pattern,
+                                  numeric::BatchedValues& out,
+                                  std::size_t lane) const {
+  if (pattern.n != static_cast<int>(n_unknowns_) ||
+      out.slots() != static_cast<std::size_t>(pattern.nnz()))
+    return false;
+  // Each stamp's slot is its (row, col) in `pattern`, found by a search of
+  // the row's sorted columns; the pattern matches iff every slot is hit.
+  std::vector<char> hit(static_cast<std::size_t>(pattern.nnz()), 0);
+  std::size_t distinct = 0;
+  out.clear_lane(lane);
+  for (const auto& t : dc_triplets(gmin)) {
+    const auto first = pattern.col_idx.begin() + pattern.row_ptr[t.row];
+    const auto last = pattern.col_idx.begin() + pattern.row_ptr[t.row + 1];
+    const auto it = std::lower_bound(first, last, t.col);
+    if (it == last || *it != t.col) return false;
+    const auto slot = static_cast<std::size_t>(it - pattern.col_idx.begin());
+    if (!hit[slot]) {
+      hit[slot] = 1;
+      ++distinct;
+    }
+    out.at(slot, lane) += t.value;
+  }
+  return distinct == hit.size();
+}
+
+std::vector<numeric::Triplet<double>> MnaAssembler::dc_triplets(double gmin) const {
   std::vector<numeric::Triplet<double>> t;
   for (std::size_t i = 0; i < n_nodes_; ++i)
     t.push_back({static_cast<int>(i), static_cast<int>(i), gmin});
@@ -231,8 +286,7 @@ numeric::RealSparse MnaAssembler::dc_sparse(double gmin) const {
   // Buffer output stage: conductance 1/Rout from output node to ground.
   for (const auto& b : circuit_.buffers())
     stamp_conductance(t, b.output, kGround, 1.0 / b.output_resistance);
-
-  return numeric::RealSparse(static_cast<int>(n_unknowns_), t);
+  return t;
 }
 
 numeric::RealMatrix MnaAssembler::dc_matrix(double gmin) const {

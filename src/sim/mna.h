@@ -69,6 +69,12 @@ struct TransientState {
 class MnaAssembler {
  public:
   explicit MnaAssembler(const Circuit& circuit);
+  // A circuit of `like`'s topology with other element values (a sweep
+  // lane): adopts like's system pattern and value slots instead of sorting
+  // its own when its stamps land on the same (row, col) entries in the same
+  // order, else builds them as the one-argument constructor does. `like`
+  // need not outlive the new assembler.
+  MnaAssembler(const Circuit& circuit, const MnaAssembler& like);
 
   std::size_t node_count() const { return n_nodes_; }
   std::size_t unknown_count() const { return n_unknowns_; }
@@ -137,6 +143,13 @@ class MnaAssembler {
   // so capacitor-only nodes do not make the matrix singular. The DC pattern
   // differs from system_pattern() (inductor rows change meaning).
   numeric::RealSparse dc_sparse(double gmin = 1e-12) const;
+  // Scenario-batched DC seam: writes dc_sparse(gmin)'s values into ONE lane
+  // of `out` (slot count pattern.nnz()), laid out on `pattern` and summed in
+  // dc_sparse's order, so the lane holds dc_sparse's values bit for bit.
+  // Sorts nothing. Returns false, leaving the lane unspecified, unless the
+  // DC stamps cover `pattern` exactly (the DC pattern of this topology).
+  bool dc_values_into(double gmin, const numeric::SparsePattern& pattern,
+                      numeric::BatchedValues& out, std::size_t lane) const;
   numeric::RealMatrix dc_matrix(double gmin = 1e-12) const;
   std::vector<double> dc_rhs(double t, const TransientState& state) const;
 
@@ -167,7 +180,9 @@ class MnaAssembler {
   static double buffer_drive(const Buffer& buffer, double fire_time, double t);
 
  private:
-  void stamp_system();
+  void stamp_triplets();  // validates, sizes the unknowns, stamps G and C
+  void build_system_pattern();
+  std::vector<numeric::Triplet<double>> dc_triplets(double gmin) const;
 
   const Circuit& circuit_;
   std::size_t n_nodes_ = 0;

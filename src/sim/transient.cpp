@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "numeric/interpolate.h"
 #include "numeric/matrix.h"
 #include "numeric/sparse.h"
 #include "obs/obs.h"
@@ -104,6 +105,15 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
   if (!(options.min_dt_fraction >= 1e-12) || options.min_dt_fraction > 1.0)
     throw std::invalid_argument(
         "run_transient: min_dt_fraction must be in [1e-12, 1]");
+  const std::optional<TransientProbe>& probe = options.probe;
+  NodeId probe_node = kGround;
+  if (probe) {
+    const auto found = circuit.find_node(probe->node);
+    if (!found || *found == kGround)
+      throw std::invalid_argument("run_transient: probe node '" + probe->node +
+                                  "' is not a node of the circuit");
+    probe_node = *found;
+  }
 
   const MnaAssembler assembler(circuit);
   const bool use_sparse = use_sparse_solver(options.solver, assembler.unknown_count());
@@ -128,9 +138,10 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
   }
 
   // --- breakpoints ---------------------------------------------------------
+  // The horizon is not one: steps are clipped to it directly, so a probe
+  // run that extends it does not restart backward Euler there.
   std::set<double> breakpoints;
   breakpoints.insert(0.0);
-  breakpoints.insert(options.t_stop);
   for (const auto& v : circuit.voltage_sources())
     collect_source_breakpoints(v.spec, options.t_stop, breakpoints);
   for (const auto& i : circuit.current_sources())
@@ -148,7 +159,8 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
   };
 
   std::map<std::pair<std::int64_t, int>, CachedFactor> lu_cache;
-  std::size_t factorizations = 0;
+  std::size_t factorizations = 0;  // cache misses
+  std::size_t lu_hits = 0;         // counted once per run, not per step
   // Every sparse factorization of this run shares one symbolic analysis,
   // held in `run_system`: the caller's recorded one when it fits this
   // circuit, else this run's first (see numeric::factor_reusing).
@@ -157,44 +169,53 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
 
   const auto factorized = [&](double dt, Integrator method) -> const CachedFactor& {
     const auto key = std::make_pair(quantize(dt), static_cast<int>(method));
-    auto it = lu_cache.find(key);
-    if (it != lu_cache.end()) {
-      OBS_COUNTER_ADD("cache.lu_dt.hits", 1);
+    if (const auto it = lu_cache.find(key); it != lu_cache.end()) {
+      ++lu_hits;
+      return it->second;
+    }
+    CachedFactor factor;
+    if (use_sparse) {
+      assembler.system_values(MnaAssembler::transient_scale(dt, method),
+                              system_values);
+      factor.sparse.emplace(numeric::factor_reusing(
+          numeric::RealSparse(assembler.system_pattern(), system_values),
+          reuse ? &reuse->system : nullptr, &run_system));
     } else {
-      OBS_COUNTER_ADD("cache.lu_dt.misses", 1);
+      factor.dense.emplace(assembler.transient_matrix(dt, method));
     }
-    if (it == lu_cache.end()) {
-      CachedFactor factor;
-      if (use_sparse) {
-        assembler.system_values(MnaAssembler::transient_scale(dt, method),
-                                system_values);
-        factor.sparse.emplace(numeric::factor_reusing(
-            numeric::RealSparse(assembler.system_pattern(), system_values),
-            reuse ? &reuse->system : nullptr, &run_system));
-      } else {
-        factor.dense.emplace(assembler.transient_matrix(dt, method));
-      }
-      it = lu_cache.emplace(key, std::move(factor)).first;
-      ++factorizations;
-    }
-    return it->second;
+    ++factorizations;
+    return lu_cache.emplace(key, std::move(factor)).first->second;
   };
 
-  // --- recording -----------------------------------------------------------
+  // --- recording: the probe node alone, or every node ----------------------
+  const bool stop_at_crossing =
+      probe && probe->window == CrossingWindow::kStopAtCrossing;
   std::vector<double> times;
   std::map<std::string, std::vector<double>> node_values;
-  const std::size_t n_nodes = circuit.node_count();
-  std::vector<std::vector<double>*> columns(n_nodes);
-  for (std::size_t i = 0; i < n_nodes; ++i)
-    columns[i] = &node_values[circuit.node_name(static_cast<NodeId>(i))];
+  std::vector<std::size_t> recorded;  // node indices, one per column
+  if (stop_at_crossing) {
+    recorded.push_back(static_cast<std::size_t>(probe_node));
+  } else {
+    for (std::size_t i = 0; i < circuit.node_count(); ++i) recorded.push_back(i);
+  }
+  std::vector<std::vector<double>*> columns(recorded.size());
+  for (std::size_t c = 0; c < recorded.size(); ++c)
+    columns[c] = &node_values[circuit.node_name(static_cast<NodeId>(recorded[c]))];
+  const std::vector<double>* probe_values =
+      !probe ? nullptr
+             : columns[stop_at_crossing ? 0 : static_cast<std::size_t>(probe_node)];
   const auto record = [&](const TransientState& s) {
     times.push_back(s.time);
-    for (std::size_t i = 0; i < n_nodes; ++i) columns[i]->push_back(s.node_voltage[i]);
+    for (std::size_t c = 0; c < recorded.size(); ++c)
+      columns[c]->push_back(s.node_voltage[recorded[c]]);
   };
   record(state);
 
   // --- main loop -----------------------------------------------------------
   const double min_dt = dt_nominal * options.min_dt_fraction;
+  double t_stop = options.t_stop;  // grows by horizon extensions
+  int extensions = 0;
+  std::optional<double> crossing;  // the probe's first crossing
   int be_steps_left = options.be_steps_after_breakpoint;
   std::size_t steps = 0;
   const auto& buffers = circuit.buffers();
@@ -207,17 +228,53 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
     state.buffer_fire_time[static_cast<std::size_t>(k)] = state.time;
     breakpoints.insert(state.time);
     const double rise = buffers[static_cast<std::size_t>(k)].output_rise;
-    if (rise > 0.0 && state.time + rise < options.t_stop)
+    if (rise > 0.0 && state.time + rise < t_stop)
       breakpoints.insert(state.time + rise);
   };
 
-  while (state.time < options.t_stop - 0.5 * min_dt) {
+  // Records the accepted step and checks the probe on its sample interval;
+  // true when a stopping probe has its crossing.
+  const auto end_step = [&]() {
+    record(state);
+    ++steps;
+    if (!probe || crossing) return false;
+    const std::size_t k = times.size();
+    const std::vector<double>& v = *probe_values;
+    crossing = numeric::interval_crossing(times[k - 2], times[k - 1], v[k - 2],
+                                          v[k - 1], probe->level, 0.0, +1);
+    return crossing && stop_at_crossing;
+  };
+
+  // Steps on from the window end, at the same dt, to 4x the horizon: the
+  // new window's source corners become breakpoints, and so do output-ramp
+  // ends of buffers the old horizon clipped away.
+  const auto extend_horizon = [&]() {
+    const double previous = t_stop;
+    t_stop *= 4.0;
+    for (const auto& v : circuit.voltage_sources())
+      collect_source_breakpoints(v.spec, t_stop, breakpoints);
+    for (const auto& i : circuit.current_sources())
+      collect_source_breakpoints(i.spec, t_stop, breakpoints);
+    for (std::size_t k = 0; k < buffers.size(); ++k) {
+      const double ramp_end = state.buffer_fire_time[k] + buffers[k].output_rise;
+      if (buffers[k].output_rise > 0.0 && ramp_end >= previous && ramp_end < t_stop)
+        breakpoints.insert(ramp_end);
+    }
+    ++extensions;
+    OBS_COUNTER_ADD("transient.horizon_extensions", 1);
+  };
+
+  for (;;) {
+    if (state.time >= t_stop - 0.5 * min_dt) {
+      if (!probe || crossing || extensions == kMaxHorizonExtensions) break;
+      extend_horizon();
+    }
     // Distance to the next breakpoint bounds the step; snap to the cache
     // quantization grid so the factorization and the RHS use the same dt.
     const auto next_bp = breakpoints.upper_bound(state.time + 0.5 * min_dt);
-    const double bp_time = (next_bp != breakpoints.end()) ? *next_bp : options.t_stop;
+    const double bp_time = (next_bp != breakpoints.end()) ? *next_bp : t_stop;
     double dt = std::min(dt_nominal, bp_time - state.time);
-    dt = std::min(dt, options.t_stop - state.time);
+    dt = std::min(dt, t_stop - state.time);
     dt = static_cast<double>(quantize(dt)) * dt_quantum;
     if (dt <= 0.0) break;
 
@@ -281,13 +338,13 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
         if (tc <= earliest_event + cluster_window)
           fire_buffer(static_cast<int>(k));
       be_steps_left = options.be_steps_after_breakpoint;
-      record(state);
-      ++steps;
+      if (end_step()) break;
       continue;
     }
 
     const bool lands_on_breakpoint =
-        std::fabs((state.time + dt) - bp_time) <= 0.5 * min_dt;
+        next_bp != breakpoints.end() &&
+        std::fabs((state.time + dt) - *next_bp) <= 0.5 * min_dt;
     assembler.advance_state(solution, dt, method, state);
     if (have_event) {
       // Crossing at (or numerically at) the step end — or too close to the
@@ -299,17 +356,19 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
     } else if (be_steps_left > 0) {
       --be_steps_left;
     }
-    record(state);
-    ++steps;
+    if (end_step()) break;
   }
 
   OBS_COUNTER_ADD("transient.steps", steps);
+  OBS_COUNTER_ADD("cache.lu_dt.hits", lu_hits);
+  OBS_COUNTER_ADD("cache.lu_dt.misses", factorizations);
   TransientResult result;
   result.waveforms = WaveformSet(std::move(times), std::move(node_values));
   result.buffer_fire_times = state.buffer_fire_time;
   result.steps_taken = steps;
   result.lu_factorizations = factorizations;
   result.used_sparse_solver = use_sparse;
+  result.crossing = crossing;
   return result;
 }
 

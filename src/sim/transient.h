@@ -21,9 +21,27 @@
 // min_dt_fraction grid before keying the LU cache, so breakpoint-clipped dt
 // values that differ only by ulps reuse one factorization instead of
 // triggering spurious refactorizations.
+//
+// Probe runs: a caller that waits for one node's first rising crossing of
+// a level names it in TransientOptions::probe. The run checks each new
+// sample interval of that node with numeric::find_crossing's test as it is
+// produced, and reports the crossing in TransientResult::crossing. Its
+// CrossingWindow says what happens once the crossing is known:
+// kStopAtCrossing records that node alone and ends the run at the first
+// step that brackets the crossing (the recorded prefix is the full record's
+// prefix sample for sample, so the crossing is the one a full-window run
+// reports, bit for bit); kFullWindow records every node over the whole
+// window, as a run without a probe does. A probe that has not crossed when
+// the window ends extends the horizon: the run keeps stepping from where it
+// is, at the same dt, out to 4x the previous horizon, at most
+// kMaxHorizonExtensions times (each counted under the obs counter
+// transient.horizon_extensions). An extended run takes the steps a single
+// run at the final horizon and the same dt takes.
 #pragma once
 
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "numeric/sparse.h"
@@ -46,6 +64,23 @@ struct SolverReuse {
   numeric::SymbolicRecord conductance;  // G alone, for mor moment generation
 };
 
+// How far a probe run steps once its crossing is known, and what it records.
+enum class CrossingWindow {
+  kStopAtCrossing,  // stop at the bracketing step; record the probe node alone
+  kFullWindow,      // finish the window; record every node (waveform scans)
+};
+
+// The one node a caller waits on, and the level of its rising crossing.
+struct TransientProbe {
+  std::string node;
+  double level = 0.0;  // volts
+  CrossingWindow window = CrossingWindow::kStopAtCrossing;
+};
+
+// Horizon extensions (4x each: 4x/16x/64x) a probe run takes before it
+// reports no crossing.
+inline constexpr int kMaxHorizonExtensions = 3;
+
 struct TransientOptions {
   double t_stop = 0.0;      // required, > 0
   double dt = 0.0;          // 0 -> t_stop / 4000
@@ -62,6 +97,9 @@ struct TransientOptions {
   // reuse->system. The pointee must outlive the run. Ignored on the dense
   // solver path.
   SolverReuse* reuse = nullptr;
+  // Watch this node for its crossing (see the top of this file). Absent:
+  // record every node over the whole window, which is never extended.
+  std::optional<TransientProbe> probe{};
 };
 
 struct TransientResult {
@@ -70,10 +108,14 @@ struct TransientResult {
   std::size_t steps_taken = 0;
   std::size_t lu_factorizations = 0;  // numeric factorizations (cache misses)
   bool used_sparse_solver = false;
+  // Probe runs: the probe node's first crossing (absent if it never
+  // crossed, horizon extensions included).
+  std::optional<double> crossing;
 };
 
 // Runs a transient analysis. Throws std::invalid_argument for bad options
-// and std::runtime_error if the MNA matrix is singular.
+// (including a probe node the circuit does not have) and std::runtime_error
+// if the MNA matrix is singular.
 TransientResult run_transient(const Circuit& circuit, const TransientOptions& options);
 
 // DC operating point: node voltages (and branch currents) with capacitors

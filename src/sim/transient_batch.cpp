@@ -7,14 +7,14 @@
 #include <limits>
 #include <map>
 #include <set>
-#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
+#include "numeric/interpolate.h"
 #include "numeric/sparse_batch.h"
 #include "obs/obs.h"
+#include "sim/builders.h"
 #include "sim/mna.h"
-#include "sim/waveform.h"
 
 // Batched stepping is memcmp'd against the scalar path; excess-precision
 // double evaluation would fork the two (see numeric/fp_env.h).
@@ -40,47 +40,60 @@ std::set<double> breakpoints_of(const Circuit& circuit, double t_stop) {
 
 }  // namespace
 
+// Every ineligible batch returns through here, counting its reason under
+// batch.ineligible.<reason> (one counter handle per call site).
+#define RLCSIM_BATCH_INELIGIBLE(reason)                   \
+  do {                                                    \
+    OBS_COUNTER_ADD("batch.ineligible." reason, 1);       \
+    return std::nullopt;                                  \
+  } while (0)
+
 std::optional<std::vector<double>> run_batched_crossings(
     const std::vector<Circuit>& circuits, const std::string& node, double level,
     const TransientOptions& options, const char* context) {
   OBS_SPAN("transient.batch");
   const std::size_t lanes = circuits.size();
-  if (!numeric::is_supported_lane_width(lanes)) return std::nullopt;
+  if (!numeric::is_supported_lane_width(lanes)) RLCSIM_BATCH_INELIGIBLE("lanes");
 
   // Ineligible-option combinations fall back rather than throw: the scalar
   // path then raises exactly the diagnostics run_transient documents.
-  if (!(options.t_stop > 0.0)) return std::nullopt;
+  if (!(options.t_stop > 0.0)) RLCSIM_BATCH_INELIGIBLE("options");
   const double dt_nominal =
       options.dt > 0.0 ? options.dt : options.t_stop / 4000.0;
-  if (dt_nominal >= options.t_stop) return std::nullopt;
+  if (dt_nominal >= options.t_stop) RLCSIM_BATCH_INELIGIBLE("options");
   if (!(options.min_dt_fraction >= 1e-12) || options.min_dt_fraction > 1.0)
-    return std::nullopt;
+    RLCSIM_BATCH_INELIGIBLE("options");
 
   // The batch replays RECORDED symbolic factorizations — without a fully
   // seeded SolverReuse each lane would pay (and pivot) its own symbolic
   // analysis, which is exactly the scalar path.
   SolverReuse* reuse = options.reuse;
-  if (!reuse || !reuse->system.symbolic || !reuse->dc.symbolic) return std::nullopt;
+  if (!reuse || !reuse->system.symbolic || !reuse->dc.symbolic)
+    RLCSIM_BATCH_INELIGIBLE("unseeded");
 
-  // Per-lane assemblers; every lane must be buffer-free (shared step grid),
-  // observe an actual node, and match the recorded system pattern.
+  // Per-lane assemblers, the later lanes on lane 0's pattern and slots;
+  // every lane must be buffer-free (shared step grid), observe an actual
+  // node, and match the recorded system pattern.
   std::vector<MnaAssembler> assemblers;
   assemblers.reserve(lanes);
   std::vector<NodeId> node_id(lanes, kGround);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     const Circuit& circuit = circuits[lane];
-    if (!circuit.buffers().empty()) return std::nullopt;
+    if (!circuit.buffers().empty()) RLCSIM_BATCH_INELIGIBLE("buffers");
     const auto found = circuit.find_node(node);
-    if (!found || *found == kGround) return std::nullopt;
+    if (!found || *found == kGround) RLCSIM_BATCH_INELIGIBLE("node");
     node_id[lane] = *found;
-    assemblers.emplace_back(circuit);
+    if (lane == 0)
+      assemblers.emplace_back(circuit);
+    else
+      assemblers.emplace_back(circuit, assemblers[0]);
   }
   const std::size_t unknowns = assemblers[0].unknown_count();
-  if (!use_sparse_solver(options.solver, unknowns)) return std::nullopt;
+  if (!use_sparse_solver(options.solver, unknowns)) RLCSIM_BATCH_INELIGIBLE("dense");
   for (const MnaAssembler& assembler : assemblers) {
-    if (assembler.unknown_count() != unknowns) return std::nullopt;
+    if (assembler.unknown_count() != unknowns) RLCSIM_BATCH_INELIGIBLE("pattern");
     if (!numeric::same_structure(*reuse->system.pattern, *assembler.system_pattern()))
-      return std::nullopt;
+      RLCSIM_BATCH_INELIGIBLE("pattern");
   }
 
   // The batched RHS/advance kernels below walk lane 0's element topology for
@@ -96,33 +109,33 @@ std::optional<std::vector<double>> run_batched_crossings(
   const auto& isources0 = c0.current_sources();
   for (std::size_t lane = 1; lane < lanes; ++lane) {
     const Circuit& c = circuits[lane];
-    if (c.node_count() != c0.node_count()) return std::nullopt;
+    if (c.node_count() != c0.node_count()) RLCSIM_BATCH_INELIGIBLE("topology");
     if (c.capacitors().size() != caps0.size() ||
         c.inductors().size() != inductors0.size() ||
         c.mutuals().size() != mutuals0.size() ||
         c.voltage_sources().size() != vsources0.size() ||
         c.current_sources().size() != isources0.size())
-      return std::nullopt;
+      RLCSIM_BATCH_INELIGIBLE("topology");
     for (std::size_t k = 0; k < caps0.size(); ++k)
       if (c.capacitors()[k].n1 != caps0[k].n1 ||
           c.capacitors()[k].n2 != caps0[k].n2)
-        return std::nullopt;
+        RLCSIM_BATCH_INELIGIBLE("topology");
     for (std::size_t k = 0; k < inductors0.size(); ++k)
       if (c.inductors()[k].n1 != inductors0[k].n1 ||
           c.inductors()[k].n2 != inductors0[k].n2)
-        return std::nullopt;
+        RLCSIM_BATCH_INELIGIBLE("topology");
     for (std::size_t k = 0; k < mutuals0.size(); ++k)
       if (c.mutuals()[k].inductor_a != mutuals0[k].inductor_a ||
           c.mutuals()[k].inductor_b != mutuals0[k].inductor_b)
-        return std::nullopt;
+        RLCSIM_BATCH_INELIGIBLE("topology");
     for (std::size_t k = 0; k < vsources0.size(); ++k)
       if (c.voltage_sources()[k].positive != vsources0[k].positive ||
           c.voltage_sources()[k].negative != vsources0[k].negative)
-        return std::nullopt;
+        RLCSIM_BATCH_INELIGIBLE("topology");
     for (std::size_t k = 0; k < isources0.size(); ++k)
       if (c.current_sources()[k].to != isources0[k].to ||
           c.current_sources()[k].from != isources0[k].from)
-        return std::nullopt;
+        RLCSIM_BATCH_INELIGIBLE("topology");
   }
 
   // Lane-major element value tables (SoA mirrors of the per-lane circuits).
@@ -188,16 +201,16 @@ std::optional<std::vector<double>> run_batched_crossings(
   const std::set<double> breakpoints = breakpoints_of(circuits[0], options.t_stop);
   for (std::size_t lane = 1; lane < lanes; ++lane)
     if (breakpoints_of(circuits[lane], options.t_stop) != breakpoints)
-      return std::nullopt;
+      RLCSIM_BATCH_INELIGIBLE("breakpoints");
 
   // --- batched DC operating point -----------------------------------------
   numeric::BatchedValues dc_values(
       static_cast<std::size_t>(reuse->dc.pattern->nnz()), lanes);
   numeric::BatchedValues dc_solution(unknowns, lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const numeric::RealSparse dc = assemblers[lane].dc_sparse(options.dc_gmin);
-    if (!numeric::same_structure(dc.pattern(), *reuse->dc.pattern)) return std::nullopt;
-    dc_values.set_lane(lane, dc.values());
+    if (!assemblers[lane].dc_values_into(options.dc_gmin, *reuse->dc.pattern,
+                                         dc_values, lane))
+      RLCSIM_BATCH_INELIGIBLE("pattern");
     TransientState empty;  // buffer-free: no fire times to carry
     dc_solution.set_lane(lane, assemblers[lane].dc_rhs(0.0, empty));
   }
@@ -223,6 +236,7 @@ std::optional<std::vector<double>> run_batched_crossings(
     return static_cast<std::int64_t>(std::llround(dt / dt_quantum));
   };
   std::map<std::pair<std::int64_t, int>, numeric::SparseLuBatch> lu_cache;
+  std::size_t lu_hits = 0, lu_misses = 0;  // counted once per tile
   reuse->system.hits += lanes;  // one replayed system symbolic per lane
   OBS_COUNTER_ADD("reuse.hits", lanes);
   OBS_COUNTER_ADD("batch.tiles", 1);
@@ -239,16 +253,14 @@ std::optional<std::vector<double>> run_batched_crossings(
                               Integrator method) -> const numeric::SparseLuBatch& {
     const auto key = std::make_pair(quantize(dt), static_cast<int>(method));
     if (last_factor != nullptr && key == last_key) {
-      OBS_COUNTER_ADD("cache.lu_dt_batch.hits", 1);
+      ++lu_hits;
       return *last_factor;
     }
     auto it = lu_cache.find(key);
     if (it != lu_cache.end()) {
-      OBS_COUNTER_ADD("cache.lu_dt_batch.hits", 1);
+      ++lu_hits;
     } else {
-      OBS_COUNTER_ADD("cache.lu_dt_batch.misses", 1);
-    }
-    if (it == lu_cache.end()) {
+      ++lu_misses;
       const double scale = MnaAssembler::transient_scale(dt, method);
       for (std::size_t lane = 0; lane < lanes; ++lane)
         assemblers[lane].stamp_values_into(scale, system_values, lane);
@@ -294,14 +306,14 @@ std::optional<std::vector<double>> run_batched_crossings(
     return coeffs;
   };
 
-  // --- recording: the shared time grid + ONE node column per lane ----------
-  const std::size_t expected_steps =
-      static_cast<std::size_t>(options.t_stop / dt_nominal) +
-      2 * breakpoints.size() + 16;
-  std::vector<double> times;
-  times.reserve(expected_steps);
-  std::vector<std::vector<double>> values(lanes);
-  for (auto& column : values) column.reserve(expected_steps);
+  // --- probes: each lane's previous probe sample and its crossing. A lane
+  // retires at the step that brackets its crossing (numeric::
+  // interval_crossing, the scalar probe's test); a lane still open when the
+  // window ends is left NaN for the scalar auto-extend below.
+  std::vector<double> crossings(lanes, kNaN);
+  std::vector<char> retired(lanes, 0);
+  std::size_t open_lanes = lanes;
+  std::vector<double> previous(lanes);
 
   // --- main loop: run_transient's grid walk, minus the (absent) buffer
   // event machinery. The stepping kernels run with a COMPILE-TIME lane
@@ -485,17 +497,14 @@ std::optional<std::vector<double>> run_batched_crossings(
       time += dt;
     };
 
-    const auto record = [&]() {
-      times.push_back(time);
-#pragma GCC unroll 1
-      for (std::size_t lane = 0; lane < W; ++lane)
-        values[lane].push_back(
-            nv[static_cast<std::size_t>(node_id[lane]) * W + lane]);
+    const auto probe = [&](std::size_t lane) {
+      return nv[static_cast<std::size_t>(node_id[lane]) * W + lane];
     };
-    record();
+#pragma GCC unroll 1
+    for (std::size_t lane = 0; lane < W; ++lane) previous[lane] = probe(lane);
 
     int be_steps_left = options.be_steps_after_breakpoint;
-    while (time < options.t_stop - 0.5 * min_dt) {
+    while (open_lanes != 0 && time < options.t_stop - 0.5 * min_dt) {
       const auto next_bp = breakpoints.upper_bound(time + 0.5 * min_dt);
       const double bp_time =
           (next_bp != breakpoints.end()) ? *next_bp : options.t_stop;
@@ -512,56 +521,46 @@ std::optional<std::vector<double>> run_batched_crossings(
       factorized(dt, method).solve_in_place(solution);
       const bool lands_on_breakpoint =
           std::fabs((time + dt) - bp_time) <= 0.5 * min_dt;
+      const double step_start = time;
       batched_advance(solution, dt, method, coeff);
 
       if (lands_on_breakpoint)
         be_steps_left = options.be_steps_after_breakpoint;
       else if (be_steps_left > 0)
         --be_steps_left;
-      record();
+#pragma GCC unroll 1
+      for (std::size_t lane = 0; lane < W; ++lane) {
+        if (retired[lane]) continue;
+        const double v = probe(lane);
+        if (const auto x = numeric::interval_crossing(
+                step_start, time, previous[lane], v, level, 0.0, +1)) {
+          crossings[lane] = *x;
+          retired[lane] = 1;
+          --open_lanes;
+        }
+        previous[lane] = v;
+      }
     }
   };
   switch (lanes) {
     case 1: run_steps(std::integral_constant<std::size_t, 1>{}); break;
     case 4: run_steps(std::integral_constant<std::size_t, 4>{}); break;
     case 8: run_steps(std::integral_constant<std::size_t, 8>{}); break;
-    default: return std::nullopt;  // unreachable: width validated on entry
+    default: RLCSIM_BATCH_INELIGIBLE("lanes");  // unreachable: width validated on entry
   }
+  OBS_COUNTER_ADD("cache.lu_dt_batch.hits", lu_hits);
+  OBS_COUNTER_ADD("cache.lu_dt_batch.misses", lu_misses);
 
-  // --- crossings; non-crossing lanes re-run the scalar auto-extend ---------
-  std::vector<double> crossings(lanes, kNaN);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const Trace trace(times, values[lane]);
-    if (const auto crossing = trace.crossing(level, 0.0, +1)) {
-      crossings[lane] = *crossing;
-      continue;
-    }
-    // run_until_crossing discards a non-crossing first window and re-runs at
-    // 4x the horizon with the caller's dt policy — replicate its attempts
-    // 2..4 (the batched pass above WAS attempt 1) so the lane's value stays
-    // bit-identical to the scalar path's.
-    TransientOptions scalar_options = options;
-    const double dt0 = options.dt;
-    scalar_options.t_stop = options.t_stop * 4.0;
-    scalar_options.dt = dt0;
-    bool crossed = false;
-    for (int attempt = 1; attempt < 4; ++attempt) {
-      const TransientResult result = run_transient(circuits[lane], scalar_options);
-      const auto crossing = result.waveforms.trace(node).crossing(level, 0.0, +1);
-      if (crossing) {
-        crossings[lane] = *crossing;
-        crossed = true;
-        break;
-      }
-      scalar_options.t_stop *= 4.0;
-      scalar_options.dt = dt0;
-    }
-    if (!crossed)
-      throw std::runtime_error(std::string(context) + ": '" + node +
-                               "' never crossed the threshold within the "
-                               "(auto-extended) horizon");
-  }
+  // --- lanes that missed the shared window: the scalar run_until_crossing
+  // (first window, then its horizon extensions), bit-identical to what the
+  // batch would have computed by the contract in the header -------------
+  for (std::size_t lane = 0; lane < lanes; ++lane)
+    if (!retired[lane])
+      crossings[lane] =
+          run_until_crossing(circuits[lane], node, level, options, context).crossing;
   return crossings;
 }
+
+#undef RLCSIM_BATCH_INELIGIBLE
 
 }  // namespace rlcsim::sim

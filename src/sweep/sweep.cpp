@@ -1,8 +1,10 @@
 #include "sweep/sweep.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/delay_model.h"
@@ -21,6 +23,7 @@ namespace rlcsim::sweep {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 void apply_variable(Variable variable, double value, Scenario& scenario,
                     const tline::PerUnitLength& per_length) {
@@ -111,6 +114,32 @@ double transient_delay_of(const Scenario& scenario, const EngineOptions& options
   return sim::run_until_crossing(circuit, "out", 0.5, transient,
                                  "SweepEngine transient_delay")
       .crossing;
+}
+
+// Tile membership for batched transient sweeps: points [first, n) ordered
+// by their closed-form eq. 9 delay (stable, so ties keep index order).
+// Each lane retires at its own crossing and a tile ends with its slowest
+// lane, so lanes of similar delay finish together. Membership changes no
+// result bit: every lane is bit-identical to its scalar run. A point eq. 9
+// does not cover (an RC line, Lt = 0, which the ladder simulates fine)
+// sorts last.
+std::vector<std::size_t> tile_order(const SweepSpec& spec, std::size_t first,
+                                    const EngineOptions& options) {
+  const std::size_t n = spec.size();
+  std::vector<double> key(n, kInf);
+  for (std::size_t i = first; i < n; ++i) {
+    try {
+      const double delay = core::rlc_delay(spec.at(i).system, options.fit);
+      if (!std::isnan(delay)) key[i] = delay;
+    } catch (const std::invalid_argument&) {
+      // keeps kInf: the point sorts last
+    }
+  }
+  std::vector<std::size_t> order(n - first);
+  std::iota(order.begin(), order.end(), first);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return key[a] < key[b]; });
+  return order;
 }
 
 double evaluate_point(const Scenario& scenario, Analysis analysis,
@@ -496,11 +525,12 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
   }
 
   if (lane_width > 1) {
-    const std::size_t tiles = (n - first + lane_width - 1) / lane_width;
+    const std::vector<std::size_t> order = tile_order(spec, first, options);
+    const std::size_t tiles = (order.size() + lane_width - 1) / lane_width;
     impl_->pool.parallel_for(tiles, [&](std::size_t tile, std::size_t worker) {
       OBS_SPAN("sweep.tile");
-      const std::size_t begin = first + tile * lane_width;
-      const std::size_t count = std::min(lane_width, n - begin);
+      const std::size_t begin = tile * lane_width;
+      const std::size_t count = std::min(lane_width, order.size() - begin);
       const std::size_t before = numeric::sparse_lu_stats().symbolic;
       const std::size_t ejected_before = numeric::sparse_lu_stats().ejected_lanes;
       bool batched = false;
@@ -509,7 +539,7 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
         circuits.reserve(count);
         for (std::size_t k = 0; k < count; ++k)
           circuits.push_back(sim::build_gate_line_load(
-              spec.at(begin + k).system, options.segments));
+              spec.at(order[begin + k]).system, options.segments));
         sim::TransientOptions transient;
         transient.t_stop = options.t_stop;
         transient.dt = options.dt;
@@ -519,7 +549,7 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
             circuits, "out", 0.5, transient, "SweepEngine transient_delay");
         if (crossings) {
           for (std::size_t k = 0; k < count; ++k)
-            out.values[begin + k] = (*crossings)[k];
+            out.values[order[begin + k]] = (*crossings)[k];
           batched = true;
         }
       }
@@ -528,8 +558,8 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
       // to the batch by the batched-solver contract.
       if (!batched) {
         for (std::size_t k = 0; k < count; ++k)
-          out.values[begin + k] =
-              evaluate_point(spec.at(begin + k), analysis, options,
+          out.values[order[begin + k]] =
+              evaluate_point(spec.at(order[begin + k]), analysis, options,
                              &reuse[worker]);
       }
       (batched ? batched_points : scalar_points).fetch_add(count);

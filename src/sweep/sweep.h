@@ -163,7 +163,9 @@ struct EngineOptions {
   sim::SolverKind solver = sim::SolverKind::kAuto;
   // Scenario-batched transient lanes (kTransientDelay sweeps): workers take
   // TILES of this many grid points and step them as one SIMD batch
-  // (sim/transient_batch.h) instead of point-by-point. 0 resolves through
+  // (sim/transient_batch.h) instead of point-by-point. Tiles are cut from
+  // the points sorted by closed-form eq. 9 delay, so the lanes of a tile
+  // reach their crossings, and retire, together. 0 resolves through
   // numeric::default_lane_width() — the RLCSIM_LANES knob — and explicit
   // values must be 1, 4, or 8. Batching engages only with an explicit
   // t_stop > 0 (per-scenario default horizons preclude a shared step grid);

@@ -20,9 +20,12 @@
 #include "core/crosstalk.h"
 #include "mor/reduce.h"
 #include "mor/response.h"
+#include "numeric/interpolate.h"
 #include "numeric/sparse.h"
+#include "obs/metrics.h"
 #include "sim/builders.h"
 #include "sim/mna.h"
+#include "sim/transient_batch.h"
 #include "sweep/sweep.h"
 
 namespace {
@@ -364,6 +367,105 @@ TEST(SweepBatch, NaNPointsStayDeterministicAcrossLanesAndThreads) {
       expect_bits_equal(scalar.values, result.values, "NaN-point sweep");
     }
   }
+}
+
+// ------------------------------------------- early-stopped batched lanes
+
+// The Table-1 grid (Rtr = 500 ohm, Ct = 1 pF; RT x Lt x CT) as a sweep.
+sweep::SweepSpec table1_spec() {
+  sweep::SweepSpec spec;
+  spec.base.system = {500.0, {1000.0, 1e-7, 1e-12}, 0.5e-12};
+  spec.axes = {
+      sweep::values(sweep::Variable::kLineResistance, {5000.0, 1000.0, 500.0}),
+      sweep::values(sweep::Variable::kLineInductance, {1e-5, 1e-6, 1e-7, 1e-8}),
+      sweep::values(sweep::Variable::kLoadCapacitance,
+                    {0.1e-12, 0.5e-12, 1e-12}),
+  };
+  return spec;
+}
+
+TEST(EarlyStop, Table1BatchedLanesMatchFullWindowCrossings) {
+  // Reference: find_crossing over each point's FULL-window record at the
+  // shared horizon. Lanes retire at their bracketing step and tiles are cut
+  // from the eq. 9-sorted order; neither may change a bit.
+  const sweep::SweepSpec spec = table1_spec();
+  const sweep::EngineOptions base = batch_options(1, 1, spec);
+  sim::TransientOptions transient;
+  transient.t_stop = base.t_stop;
+  transient.dt = base.dt;
+  std::vector<sim::Circuit> circuits;
+  std::vector<double> reference;
+  for (std::size_t i = 0; i < spec.size(); ++i) {
+    circuits.push_back(sim::build_gate_line_load(spec.at(i).system, base.segments));
+    const sim::TransientResult full = sim::run_transient(circuits.back(), transient);
+    reference.push_back(*numeric::find_crossing(
+        full.waveforms.time(), full.waveforms.trace("out").value(), 0.5, 0.0, +1));
+  }
+
+  // W = 1 tiles straight through the batched stepper.
+  sim::SolverReuse reuse;
+  transient.reuse = &reuse;
+  (void)sim::run_transient(circuits[0], transient);  // seeds the records
+  std::vector<double> single;
+  for (const sim::Circuit& circuit : circuits) {
+    const auto crossing =
+        sim::run_batched_crossings({circuit}, "out", 0.5, transient, "W=1");
+    ASSERT_TRUE(crossing);
+    single.push_back(crossing->front());
+  }
+  expect_bits_equal(reference, single, "W=1 batched lanes");
+
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      const sweep::SweepEngine engine(batch_options(threads, lanes, spec));
+      const auto result = engine.run(spec, sweep::Analysis::kTransientDelay);
+      expect_bits_equal(reference, result.values, "sorted-tile sweep");
+      if (lanes > 1) {
+        EXPECT_GE(result.batched_points, 32u) << lanes;
+      }
+    }
+  }
+}
+
+// ------------------------------------------- batch ineligibility reasons
+
+std::uint64_t ineligible_count(const char* name) {
+  return obs::Counter(name).this_thread_value();
+}
+
+TEST(BatchIneligible, UnseededReuseCountsItsReason) {
+  const tline::GateLineLoad system{500.0, {1000.0, 1e-7, 1e-12}, 0.5e-12};
+  const std::vector<sim::Circuit> tile(4, sim::build_gate_line_load(system, 25));
+  sim::TransientOptions options;
+  options.t_stop = sim::default_transient_horizon(system);
+  const std::uint64_t before = ineligible_count("batch.ineligible.unseeded");
+  EXPECT_FALSE(sim::run_batched_crossings(tile, "out", 0.5, options, "unseeded"));
+  EXPECT_EQ(ineligible_count("batch.ineligible.unseeded") - before,
+            obs::metrics_enabled() ? 1u : 0u);
+}
+
+TEST(BatchIneligible, BuffersCountTheirReason) {
+  const tline::GateLineLoad system{500.0, {1000.0, 1e-7, 1e-12}, 0.5e-12};
+  sim::SolverReuse reuse;
+  sim::TransientOptions options;
+  options.t_stop = sim::default_transient_horizon(system);
+  options.reuse = &reuse;
+  (void)sim::run_transient(sim::build_gate_line_load(system, 25), options);
+  ASSERT_TRUE(reuse.system.symbolic);
+
+  sim::RepeaterChainSpec chain;
+  chain.line = {1000.0, 1e-7, 1e-12};
+  chain.sections = 2;
+  chain.size = 10.0;
+  chain.r0 = 1000.0;
+  chain.c0 = 5e-15;
+  chain.segments_per_section = 10;
+  const std::vector<sim::Circuit> tile(4, sim::build_repeater_chain(chain));
+  const std::uint64_t before = ineligible_count("batch.ineligible.buffers");
+  EXPECT_FALSE(
+      sim::run_batched_crossings(tile, "stage2.out", 0.5, options, "buffers"));
+  EXPECT_EQ(ineligible_count("batch.ineligible.buffers") - before,
+            obs::metrics_enabled() ? 1u : 0u);
 }
 
 // ------------------------------------------- zero-coupling pattern fork

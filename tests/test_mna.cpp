@@ -1,11 +1,15 @@
 #include "sim/mna.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "numeric/matrix.h"
+#include "numeric/sparse_batch.h"
 
 namespace {
 
@@ -128,6 +132,65 @@ TEST(BufferDrive, RampedAndInvertingEdges) {
 TEST(Assembler, RejectsInvalidCircuit) {
   Circuit c;  // empty
   EXPECT_THROW(MnaAssembler{c}, std::invalid_argument);
+}
+
+// An RLC ladder on named nodes; `r` and `l` set the element values.
+Circuit ladder(double r, double l, int segments) {
+  Circuit c;
+  c.add_voltage_source("in", "0", StepSpec{0.0, 1.0, 0.0, 0.0});
+  std::string near = "in";
+  for (int i = 0; i < segments; ++i) {
+    const std::string index = std::to_string(i);
+    const std::string mid = std::string(1, 'm') += index;
+    const std::string far = std::string(1, 'n') += index;
+    c.add_resistor(near, mid, r);
+    c.add_inductor(mid, far, l);
+    c.add_capacitor(far, "0", 1e-13 * (i + 1));
+    near = far;
+  }
+  return c;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Assembler, SameTopologyAdoptsThePatternAndSlots) {
+  const Circuit first = ladder(10.0, 1e-9, 6);
+  const Circuit lane = ladder(37.0, 3e-9, 6);
+  const MnaAssembler like(first);
+  const MnaAssembler shared(lane, like);
+  const MnaAssembler own(lane);
+  EXPECT_EQ(shared.system_pattern(), like.system_pattern());  // same object
+  std::vector<double> a, b;
+  shared.system_values(2e12, a);
+  own.system_values(2e12, b);
+  EXPECT_TRUE(same_bits(a, b));
+
+  // Another topology builds its own pattern.
+  const Circuit longer = ladder(10.0, 1e-9, 7);
+  const MnaAssembler other(longer, like);
+  EXPECT_NE(other.system_pattern(), like.system_pattern());
+  EXPECT_EQ(other.system_pattern()->nnz(), MnaAssembler(longer).system_pattern()->nnz());
+}
+
+TEST(Assembler, DcValuesIntoALaneMatchDcSparseBitForBit) {
+  const Circuit first = ladder(10.0, 1e-9, 6);
+  const Circuit lane = ladder(37.0, 3e-9, 6);
+  const rlcsim::numeric::RealSparse dc = MnaAssembler(first).dc_sparse(1e-12);
+  rlcsim::numeric::BatchedValues out(static_cast<std::size_t>(dc.pattern().nnz()), 4);
+  const MnaAssembler mna(lane);
+  ASSERT_TRUE(mna.dc_values_into(1e-12, dc.pattern(), out, 2));
+  std::vector<double> got(static_cast<std::size_t>(dc.pattern().nnz()));
+  for (std::size_t k = 0; k < got.size(); ++k) got[k] = out.at(k, 2);
+  EXPECT_TRUE(same_bits(got, mna.dc_sparse(1e-12).values()));
+
+  // A pattern of another topology is refused.
+  const rlcsim::numeric::RealSparse bigger =
+      MnaAssembler(ladder(10.0, 1e-9, 7)).dc_sparse(1e-12);
+  rlcsim::numeric::BatchedValues wide(static_cast<std::size_t>(bigger.pattern().nnz()), 4);
+  EXPECT_FALSE(mna.dc_values_into(1e-12, bigger.pattern(), wide, 0));
 }
 
 }  // namespace

@@ -7,10 +7,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
+#include "core/crosstalk.h"
 #include "repbus/bus_chain.h"
 #include "repbus/optimize.h"
 #include "repbus/stage_compose.h"
+#include "sim/builders.h"
 #include "sim/transient.h"
 #include "sweep/sweep.h"
 
@@ -484,6 +487,77 @@ TEST(GlitchPropagation, BenignCouplingReportsNoGlitch) {
   EXPECT_FALSE(composed.glitch_fired);
   EXPECT_EQ(composed.glitch_depth, 0);
   EXPECT_TRUE(composed.glitch_boundaries.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Full-window probe runs: the crosstalk and bus-chain MNA references find
+// the victim's crossing while they step (and would extend a missed window).
+// Their metrics must be the bits a plain run of the same window gives.
+// ---------------------------------------------------------------------------
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Peak excursion outside [0, hi], the measure both analyses apply.
+double envelope_noise(const sim::Trace& trace, double hi) {
+  return std::max({0.0, -trace.min_value(), trace.max_value() - hi});
+}
+
+TEST(FullWindowProbe, CrosstalkAndBusChainMatchAPlainRunBitForBit) {
+  const tline::CoupledBus bus = tline::make_bus(3, kLine, 0.4, 0.25);
+  core::CrosstalkOptions xt;
+  xt.driver_resistance = 300.0;
+  xt.load_capacitance = 20e-15;
+  xt.segments = 10;
+  xt.t_stop = 2e-9;
+  const std::string victim = "line" + std::to_string(bus.victim_index()) + ".out";
+  for (const auto pattern : {core::SwitchingPattern::kQuietVictim,
+                             core::SwitchingPattern::kOppositePhase}) {
+    const core::CrosstalkMetrics m = core::analyze_crosstalk(bus, pattern, xt);
+    const sim::Circuit circuit = sim::build_coupled_bus(
+        bus, core::pattern_drives(bus.lines, bus.victim_index(), pattern, 0),
+        xt.driver_resistance, xt.load_capacitance, xt.segments);
+    sim::TransientOptions full;
+    full.t_stop = xt.t_stop;
+    const sim::Trace trace = sim::run_transient(circuit, full).waveforms.trace(victim);
+    const bool switches = pattern != core::SwitchingPattern::kQuietVictim;
+    EXPECT_TRUE(same_bits(m.peak_noise, envelope_noise(trace, switches ? 1.0 : 0.0)));
+    if (switches) {
+      EXPECT_TRUE(same_bits(*m.victim_delay_50, *trace.crossing(0.5, 0.0, +1)));
+    }
+  }
+
+  // The glitching chain of GlitchPropagation above (buffers fire on noise)
+  // and its opposite-phase delay corner.
+  repbus::RepeaterBusSpec spec;
+  spec.bus = tline::make_bus(5, kLine, /*cc_ratio=*/3.0, /*lm_ratio=*/0.45);
+  spec.sections = 4;
+  spec.size = 16.0;
+  spec.buffer = kBuf;
+  spec.segments_per_section = 10;
+  spec.buffer_rise = 1e-12;
+  const double t_stop = 2e-9;
+  for (const auto pattern : {core::SwitchingPattern::kQuietVictim,
+                             core::SwitchingPattern::kOppositePhase}) {
+    const repbus::ChainMetrics m = repbus::simulate_bus_chain(spec, pattern, t_stop);
+    const repbus::BusChainCircuit chain = repbus::build_bus_chain(spec, pattern);
+    sim::TransientOptions full;
+    full.t_stop = t_stop;
+    const sim::TransientResult run = sim::run_transient(chain.circuit, full);
+    const sim::Trace trace = run.waveforms.trace(
+        chain.receiver_nodes[static_cast<std::size_t>(chain.victim)]);
+    const bool switches = pattern != core::SwitchingPattern::kQuietVictim;
+    EXPECT_TRUE(same_bits(m.peak_noise, envelope_noise(trace, switches ? 1.0 : 0.0)));
+    if (switches) {
+      EXPECT_TRUE(same_bits(*m.victim_delay_50, *trace.crossing(0.5, 0.0, +1)));
+    }
+    std::size_t fired = 0;
+    for (std::size_t k = 0; k < chain.buffer_info.size(); ++k)
+      if (chain.buffer_info[k].quiet_armed && std::isfinite(run.buffer_fire_times[k]))
+        ++fired;
+    EXPECT_EQ(m.glitch_fired, fired != 0);
+  }
 }
 
 TEST(RepbusSweep, DeterministicAcrossThreadCounts) {

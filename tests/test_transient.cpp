@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include "numeric/interpolate.h"
 #include "obs/metrics.h"
 #include "sim/builders.h"
+#include "tline/step_response.h"
 
 namespace {
 
@@ -212,6 +214,129 @@ TEST(Transient, MismatchedReuseRunsFreshAndLeavesTheRecord) {
   EXPECT_EQ(reuse.dc.symbolic, dc_symbolic);
   EXPECT_EQ(reuse.system.hits, 0u);
   EXPECT_EQ(counted, rlcsim::obs::metrics_enabled() ? 2u : 0u);
+}
+
+// The Table-1 grid (Rtr = 500 ohm, Ct = 1 pF; RT x Lt x CT) on 25-segment
+// ladders: ~80 unknowns, the sparse path the sweep engine runs.
+std::vector<rlcsim::tline::GateLineLoad> table1_grid() {
+  std::vector<rlcsim::tline::GateLineLoad> grid;
+  for (double rt : {5000.0, 1000.0, 500.0})
+    for (double lt : {1e-5, 1e-6, 1e-7, 1e-8})
+      for (double ct : {0.1, 0.5, 1.0})
+        grid.push_back({500.0, {rt, lt, 1e-12}, ct * 1e-12});
+  return grid;
+}
+
+std::uint64_t extensions_counted() {
+  const rlcsim::obs::Counter extensions("transient.horizon_extensions");
+  return extensions.this_thread_value();
+}
+
+TEST(TransientProbe, StopsAtTheBracketingStepBitForBit) {
+  SolverReuse reuse;
+  for (const auto& system : table1_grid()) {
+    const Circuit circuit = build_gate_line_load(system, 25);
+    TransientOptions opt;
+    opt.t_stop = default_transient_horizon(system);
+    opt.reuse = &reuse;
+    const TransientResult full = run_transient(circuit, opt);
+    const auto reference = rlcsim::numeric::find_crossing(
+        full.waveforms.time(), full.waveforms.trace("out").value(), 0.5, 0.0, +1);
+    ASSERT_TRUE(reference);
+
+    const DelayRun early = run_until_crossing(circuit, "out", 0.5, opt, "probe");
+    EXPECT_EQ(std::memcmp(&early.crossing, &*reference, sizeof(double)), 0);
+    EXPECT_LT(early.result.steps_taken, full.steps_taken);
+    // Only the probe node is recorded, one sample per step plus t = 0, and
+    // those samples are the full record's prefix.
+    EXPECT_EQ(early.result.waveforms.node_names(), std::vector<std::string>{"out"});
+    const std::vector<double> v = early.result.waveforms.trace("out").value();
+    ASSERT_EQ(v.size(), early.result.steps_taken + 1);
+    EXPECT_EQ(std::memcmp(v.data(), full.waveforms.trace("out").value().data(),
+                          v.size() * sizeof(double)),
+              0);
+  }
+}
+
+TEST(TransientProbe, MissedWindowStepsOnAtTheSameDt) {
+  // Table-1 point RT = 0.5, Lt = 100 nH, CT = 0.5, with a horizon a third of
+  // its delay: the first window misses and one x4 extension finds it.
+  const rlcsim::tline::GateLineLoad system{500.0, {1000.0, 1e-7, 1e-12}, 0.5e-12};
+  const double exact = rlcsim::tline::threshold_delay(system);
+  const Circuit circuit = build_gate_line_load(system, 100);
+  TransientOptions opt;
+  opt.t_stop = exact / 3.0;
+  const double dt = opt.t_stop / 4000.0;  // the first window's dt policy
+
+  const std::uint64_t before = extensions_counted();
+  const DelayRun run = run_until_crossing(circuit, "out", 0.5, opt, "probe");
+  EXPECT_EQ(extensions_counted() - before,
+            rlcsim::obs::metrics_enabled() ? 1u : 0u);
+  // The extension kept the first window's dt: about crossing/dt steps,
+  // where a restart at a 4x coarser dt would take a quarter of that.
+  const double expected_steps = run.crossing / dt;
+  EXPECT_NEAR(static_cast<double>(run.result.steps_taken), expected_steps, 2.0);
+  EXPECT_NEAR(run.crossing, exact, exact * 0.01);  // 100-segment ladder
+}
+
+TEST(TransientProbe, ExtendedRunMatchesOneRunAtTheLongerHorizon) {
+  // An extended run takes the steps of a single run at the final horizon
+  // and the first window's dt: the old horizon is no breakpoint, so no
+  // backward-Euler restart lands in the middle of the response.
+  const rlcsim::tline::GateLineLoad system{500.0, {1000.0, 1e-7, 1e-12}, 0.5e-12};
+  const Circuit circuit = build_gate_line_load(system, 25);
+  TransientOptions extended;
+  extended.t_stop = rlcsim::tline::threshold_delay(system) / 3.0;  // one x4 extension
+  extended.dt = extended.t_stop / 4000.0;
+  TransientOptions single = extended;
+  single.t_stop = 4.0 * extended.t_stop;
+
+  for (const auto window : {CrossingWindow::kStopAtCrossing, CrossingWindow::kFullWindow}) {
+    const std::uint64_t before = extensions_counted();
+    const DelayRun a = run_until_crossing(circuit, "out", 0.5, extended, "ext", window);
+    EXPECT_EQ(extensions_counted() - before,
+              rlcsim::obs::metrics_enabled() ? 1u : 0u);
+    const DelayRun b = run_until_crossing(circuit, "out", 0.5, single, "one", window);
+    EXPECT_EQ(std::memcmp(&a.crossing, &b.crossing, sizeof(double)), 0);
+    ASSERT_EQ(a.result.steps_taken, b.result.steps_taken);
+    const auto& ta = a.result.waveforms.time();
+    EXPECT_EQ(std::memcmp(ta.data(), b.result.waveforms.time().data(),
+                          ta.size() * sizeof(double)),
+              0);
+    for (const std::string& node : b.result.waveforms.node_names()) {
+      const std::vector<double> va = a.result.waveforms.trace(node).value();
+      const std::vector<double> vb = b.result.waveforms.trace(node).value();
+      ASSERT_EQ(va.size(), vb.size()) << node;
+      EXPECT_EQ(std::memcmp(va.data(), vb.data(), va.size() * sizeof(double)), 0)
+          << node;
+    }
+  }
+}
+
+TEST(TransientProbe, NeverCrossingRunThrowsWithContext) {
+  // A divider that settles at 0.4 V never reaches the 0.5 V level.
+  Circuit circuit;
+  circuit.add_voltage_source("in", "0", StepSpec{0.0, 1.0, 0.0, 0.0});
+  circuit.add_resistor("in", "out", 3000.0);
+  circuit.add_resistor("out", "0", 2000.0);
+  circuit.add_capacitor("out", "0", 1e-12);
+  TransientOptions opt;
+  opt.t_stop = 10e-9;
+
+  const std::uint64_t before = extensions_counted();
+  try {
+    (void)run_until_crossing(circuit, "out", 0.5, opt, "settles_low");
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("settles_low: 'out'", 0), 0u)
+        << error.what();
+  }
+  EXPECT_EQ(extensions_counted() - before,
+            rlcsim::obs::metrics_enabled() ? 3u : 0u);
+
+  TransientOptions bad = opt;
+  bad.probe = TransientProbe{"nowhere", 0.5};
+  EXPECT_THROW(run_transient(circuit, bad), std::invalid_argument);
 }
 
 TEST(Transient, OptionValidation) {
