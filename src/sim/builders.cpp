@@ -110,11 +110,7 @@ DelayRun run_until_crossing(const Circuit& circuit, const std::string& node,
                             const char* context, CrossingWindow window) {
   options.probe = TransientProbe{node, level, window};
   TransientResult result = run_transient(circuit, options);
-  if (!result.crossing)
-    throw std::runtime_error(std::string(context) + ": '" + node +
-                             "' never crossed the threshold within the "
-                             "(auto-extended) horizon");
-  const double crossing = *result.crossing;
+  const double crossing = detail::crossed(result.crossing, context, node);
   return {std::move(result), crossing};
 }
 

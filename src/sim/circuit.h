@@ -26,6 +26,7 @@ inline constexpr NodeId kGround = -1;
 
 struct DcSpec {
   double value = 0.0;
+  bool operator==(const DcSpec&) const = default;
 };
 
 // v0 -> v1 at t = delay, with an optional linear ramp of `rise` seconds.
@@ -34,11 +35,13 @@ struct StepSpec {
   double v1 = 1.0;
   double delay = 0.0;
   double rise = 0.0;
+  bool operator==(const StepSpec&) const = default;
 };
 
 // Piecewise-linear waveform; points must have strictly increasing times.
 struct PwlSpec {
   std::vector<std::pair<double, double>> points;
+  bool operator==(const PwlSpec&) const = default;
 };
 
 // SPICE PULSE(v0 v1 td tr tf pw period). period == 0 means single pulse.
@@ -50,6 +53,7 @@ struct PulseSpec {
   double fall = 1e-12;
   double width = 1e-9;
   double period = 0.0;
+  bool operator==(const PulseSpec&) const = default;
 };
 
 using SourceSpec = std::variant<DcSpec, StepSpec, PwlSpec, PulseSpec>;

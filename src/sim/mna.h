@@ -57,15 +57,6 @@ inline constexpr std::size_t kSparseSolverThreshold = 64;
 // Resolves a SolverKind against a system size.
 bool use_sparse_solver(SolverKind solver, std::size_t unknowns);
 
-// Dynamic state carried between transient steps.
-struct TransientState {
-  double time = 0.0;
-  std::vector<double> node_voltage;       // size N
-  std::vector<double> capacitor_current;  // per capacitor (trapezoidal history)
-  std::vector<double> inductor_current;   // per inductor
-  std::vector<double> buffer_fire_time;   // per buffer; +inf until fired
-};
-
 class MnaAssembler {
  public:
   explicit MnaAssembler(const Circuit& circuit);
@@ -151,7 +142,8 @@ class MnaAssembler {
   bool dc_values_into(double gmin, const numeric::SparsePattern& pattern,
                       numeric::BatchedValues& out, std::size_t lane) const;
   numeric::RealMatrix dc_matrix(double gmin = 1e-12) const;
-  std::vector<double> dc_rhs(double t, const TransientState& state) const;
+  // Source values at time t, every buffer unfired (driving output_v0).
+  std::vector<double> dc_rhs(double t) const;
 
   // ---- transient ---------------------------------------------------------
 
@@ -159,22 +151,6 @@ class MnaAssembler {
   // G/C triplets). Depends only on dt and the integrator, so callers cache
   // the LU factorization per dt.
   numeric::RealMatrix transient_matrix(double dt, Integrator method) const;
-
-  // RHS for advancing from `state` (at time state.time) to state.time + dt.
-  // The _into variant writes into a caller-owned buffer (resized to the
-  // unknown count) so the per-step hot loop does not allocate.
-  void transient_rhs_into(double dt, Integrator method, const TransientState& state,
-                          std::vector<double>& rhs) const;
-  std::vector<double> transient_rhs(double dt, Integrator method,
-                                    const TransientState& state) const;
-
-  // Initializes state from a DC solution vector.
-  TransientState initial_state(const std::vector<double>& dc_solution) const;
-
-  // Post-solve state update: extracts new node voltages, recomputes companion
-  // histories. `solution` is the MNA unknown vector at state.time + dt.
-  void advance_state(const std::vector<double>& solution, double dt, Integrator method,
-                     TransientState& state) const;
 
   // Buffer output source voltage at time t given its fire time.
   static double buffer_drive(const Buffer& buffer, double fire_time, double t);

@@ -1,28 +1,21 @@
 #include "sim/transient.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "numeric/interpolate.h"
 #include "numeric/matrix.h"
 #include "numeric/sparse.h"
 #include "obs/obs.h"
+#include "sim/stepper.h"
 
 namespace rlcsim::sim {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-double node_voltage_of(const std::vector<double>& v, NodeId n) {
-  return n == kGround ? 0.0 : v[static_cast<std::size_t>(n)];
-}
 
 // One cached transient-system factorization: dense LU or sparse LU,
 // whichever the run's solver policy selected.
@@ -37,6 +30,18 @@ struct CachedFactor {
       sparse->solve_in_place(x);
   }
 };
+
+// The DC operating point at t = 0 (every buffer unfired), on the dense or
+// sparse LU; the sparse one replays reuse->dc when given.
+std::vector<double> dc_solution(const MnaAssembler& assembler, bool sparse, double gmin,
+                                SolverReuse* reuse) {
+  const std::vector<double> rhs = assembler.dc_rhs(0.0);
+  if (sparse)
+    return numeric::factor_reusing(assembler.dc_sparse(gmin),
+                                   reuse ? &reuse->dc : nullptr)
+        .solve(rhs);
+  return numeric::RealLu(assembler.dc_matrix(gmin)).solve(rhs);
+}
 
 }  // namespace
 
@@ -54,22 +59,7 @@ void collect_source_breakpoints(const SourceSpec& spec, double t_stop,
     return;
   }
   if (const auto* pulse = std::get_if<PulseSpec>(&spec)) {
-    const bool repeats = pulse->period > 0.0;
-    // Every cycle whose base lies inside [0, t_stop] contributes edges; the
-    // count is bounded by t_stop/period, not by an arbitrary cycle cap. A
-    // simulation must land a step on each edge anyway, so a cycle count no
-    // run could ever integrate is a spec error, not something to truncate
-    // silently: fail loudly instead of exhausting memory.
-    constexpr double kMaxPulseCycles = 1'000'000;
-    const double cycles =
-        repeats ? std::floor((t_stop - pulse->delay) / pulse->period) : 0.0;
-    // Compare BEFORE casting: a double beyond int64 range would make the
-    // cast undefined and could skip this guard entirely.
-    if (cycles > kMaxPulseCycles)
-      throw std::invalid_argument(
-          "collect_source_breakpoints: pulse period is so small that t_stop "
-          "covers more than 1e6 cycles; refusing to enumerate breakpoints");
-    const std::int64_t last_cycle = static_cast<std::int64_t>(cycles);
+    const std::int64_t last_cycle = detail::last_pulse_cycle(*pulse, t_stop);
     for (std::int64_t cycle = 0; cycle <= last_cycle; ++cycle) {
       const double base = pulse->delay + static_cast<double>(cycle) * pulse->period;
       if (base > t_stop) break;
@@ -81,30 +71,67 @@ void collect_source_breakpoints(const SourceSpec& spec, double t_stop,
   }
 }
 
+namespace detail {
+
+std::int64_t last_pulse_cycle(const PulseSpec& pulse, double t_stop) {
+  // Every cycle whose base lies inside [0, t_stop] contributes edges; the
+  // count is bounded by t_stop/period, not by an arbitrary cycle cap. A
+  // simulation must land a step on each edge anyway, so a cycle count no
+  // run could ever integrate is a spec error, not something to truncate
+  // silently: fail loudly instead of exhausting memory.
+  constexpr double kMaxPulseCycles = 1'000'000;
+  const double cycles =
+      pulse.period > 0.0 ? std::floor((t_stop - pulse.delay) / pulse.period) : 0.0;
+  // Compare BEFORE casting: a double beyond int64 range would make the
+  // cast undefined and could skip this guard entirely.
+  if (cycles > kMaxPulseCycles)
+    throw std::invalid_argument(
+        "collect_source_breakpoints: pulse period is so small that t_stop "
+        "covers more than 1e6 cycles; refusing to enumerate breakpoints");
+  return static_cast<std::int64_t>(cycles);
+}
+
+const char* invalid_options(const TransientOptions& options) {
+  if (!(options.t_stop > 0.0)) return "t_stop must be > 0";
+  const double dt = options.dt > 0.0 ? options.dt : options.t_stop / 4000.0;
+  if (dt >= options.t_stop) return "dt must be < t_stop";
+  // The lower bound keeps dt/dt_quantum inside int64 range for the LU-cache
+  // quantization (1e-12 still allows million-fold event-step refinement).
+  if (!(options.min_dt_fraction >= 1e-12) || options.min_dt_fraction > 1.0)
+    return "min_dt_fraction must be in [1e-12, 1]";
+  return nullptr;
+}
+
+void add_source_breakpoints(const Circuit& circuit, double t_stop,
+                            std::set<double>& out) {
+  for (const auto& v : circuit.voltage_sources())
+    collect_source_breakpoints(v.spec, t_stop, out);
+  for (const auto& i : circuit.current_sources())
+    collect_source_breakpoints(i.spec, t_stop, out);
+}
+
+double crossed(const std::optional<double>& crossing, const char* context,
+               const std::string& node) {
+  if (!crossing)
+    throw std::runtime_error(std::string(context) + ": '" + node +
+                             "' never crossed the threshold within the "
+                             "(auto-extended) horizon");
+  return *crossing;
+}
+
+}  // namespace detail
+
 std::vector<double> dc_operating_point(const Circuit& circuit, double gmin) {
   const MnaAssembler assembler(circuit);
-  TransientState empty;
-  empty.buffer_fire_time.assign(circuit.buffers().size(), kInf);
-  const auto rhs = assembler.dc_rhs(0.0, empty);
-  if (use_sparse_solver(SolverKind::kAuto, assembler.unknown_count()))
-    return numeric::RealSparseLu(assembler.dc_sparse(gmin)).solve(rhs);
-  return numeric::RealLu(assembler.dc_matrix(gmin)).solve(rhs);
+  const bool sparse = use_sparse_solver(SolverKind::kAuto, assembler.unknown_count());
+  return dc_solution(assembler, sparse, gmin, nullptr);
 }
 
 TransientResult run_transient(const Circuit& circuit, const TransientOptions& options) {
   OBS_SPAN("transient.run");
   OBS_COUNTER_ADD("transient.runs", 1);
-  if (!(options.t_stop > 0.0))
-    throw std::invalid_argument("run_transient: t_stop must be > 0");
-  const double dt_nominal =
-      options.dt > 0.0 ? options.dt : options.t_stop / 4000.0;
-  if (dt_nominal >= options.t_stop)
-    throw std::invalid_argument("run_transient: dt must be < t_stop");
-  // The lower bound keeps dt/dt_quantum inside int64 range for the LU-cache
-  // quantization below (1e-12 still allows million-fold event-step refinement).
-  if (!(options.min_dt_fraction >= 1e-12) || options.min_dt_fraction > 1.0)
-    throw std::invalid_argument(
-        "run_transient: min_dt_fraction must be in [1e-12, 1]");
+  if (const char* error = detail::invalid_options(options))
+    throw std::invalid_argument(std::string("run_transient: ") + error);
   const std::optional<TransientProbe>& probe = options.probe;
   NodeId probe_node = kGround;
   if (probe) {
@@ -117,74 +144,26 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
 
   const MnaAssembler assembler(circuit);
   const bool use_sparse = use_sparse_solver(options.solver, assembler.unknown_count());
-
   SolverReuse* reuse = use_sparse ? options.reuse : nullptr;
+  const std::vector<double> dc =
+      dc_solution(assembler, use_sparse, options.dc_gmin, reuse);
 
-  // --- initial state from the DC operating point --------------------------
-  TransientState state;
-  {
-    TransientState empty;
-    empty.buffer_fire_time.assign(circuit.buffers().size(), kInf);
-    const auto rhs = assembler.dc_rhs(0.0, empty);
-    std::vector<double> dc_solution;
-    if (use_sparse) {
-      dc_solution = numeric::factor_reusing(assembler.dc_sparse(options.dc_gmin),
-                                            reuse ? &reuse->dc : nullptr)
-                        .solve(rhs);
-    } else {
-      dc_solution = numeric::RealLu(assembler.dc_matrix(options.dc_gmin)).solve(rhs);
-    }
-    state = assembler.initial_state(dc_solution);
-  }
-
-  // --- breakpoints ---------------------------------------------------------
-  // The horizon is not one: steps are clipped to it directly, so a probe
-  // run that extends it does not restart backward Euler there.
-  std::set<double> breakpoints;
-  breakpoints.insert(0.0);
-  for (const auto& v : circuit.voltage_sources())
-    collect_source_breakpoints(v.spec, options.t_stop, breakpoints);
-  for (const auto& i : circuit.current_sources())
-    collect_source_breakpoints(i.spec, options.t_stop, breakpoints);
-
-  // --- LU cache keyed by (quantized dt, integrator) ------------------------
-  // Step sizes are snapped to multiples of `dt_quantum` before factorizing,
-  // so breakpoint-clipped dts that differ only in the last few ulps share a
-  // factorization instead of each paying a fresh one. The snap error is at
-  // most half a quantum (= 0.5 * min_dt_fraction * dt_nominal), far below
-  // the breakpoint landing tolerance.
-  const double dt_quantum = dt_nominal * options.min_dt_fraction;
-  const auto quantize = [&](double dt) {
-    return static_cast<std::int64_t>(std::llround(dt / dt_quantum));
-  };
-
-  std::map<std::pair<std::int64_t, int>, CachedFactor> lu_cache;
-  std::size_t factorizations = 0;  // cache misses
-  std::size_t lu_hits = 0;         // counted once per run, not per step
   // Every sparse factorization of this run shares one symbolic analysis,
   // held in `run_system`: the caller's recorded one when it fits this
   // circuit, else this run's first (see numeric::factor_reusing).
   numeric::SymbolicRecord run_system;
   std::vector<double> system_values;  // reused CSR value buffer
-
-  const auto factorized = [&](double dt, Integrator method) -> const CachedFactor& {
-    const auto key = std::make_pair(quantize(dt), static_cast<int>(method));
-    if (const auto it = lu_cache.find(key); it != lu_cache.end()) {
-      ++lu_hits;
-      return it->second;
-    }
+  const auto make_factor = [&](double dt, Integrator method) {
     CachedFactor factor;
     if (use_sparse) {
-      assembler.system_values(MnaAssembler::transient_scale(dt, method),
-                              system_values);
+      assembler.system_values(MnaAssembler::transient_scale(dt, method), system_values);
       factor.sparse.emplace(numeric::factor_reusing(
           numeric::RealSparse(assembler.system_pattern(), system_values),
           reuse ? &reuse->system : nullptr, &run_system));
     } else {
       factor.dense.emplace(assembler.transient_matrix(dt, method));
     }
-    ++factorizations;
-    return lu_cache.emplace(key, std::move(factor)).first->second;
+    return factor;
   };
 
   // --- recording: the probe node alone, or every node ----------------------
@@ -201,174 +180,29 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
   std::vector<std::vector<double>*> columns(recorded.size());
   for (std::size_t c = 0; c < recorded.size(); ++c)
     columns[c] = &node_values[circuit.node_name(static_cast<NodeId>(recorded[c]))];
-  const std::vector<double>* probe_values =
-      !probe ? nullptr
-             : columns[stop_at_crossing ? 0 : static_cast<std::size_t>(probe_node)];
-  const auto record = [&](const TransientState& s) {
-    times.push_back(s.time);
+  const auto record = [&](double time, const double* v) {
+    times.push_back(time);
     for (std::size_t c = 0; c < recorded.size(); ++c)
-      columns[c]->push_back(s.node_voltage[recorded[c]]);
-  };
-  record(state);
-
-  // --- main loop -----------------------------------------------------------
-  const double min_dt = dt_nominal * options.min_dt_fraction;
-  double t_stop = options.t_stop;  // grows by horizon extensions
-  int extensions = 0;
-  std::optional<double> crossing;  // the probe's first crossing
-  int be_steps_left = options.be_steps_after_breakpoint;
-  std::size_t steps = 0;
-  const auto& buffers = circuit.buffers();
-  std::vector<double> solution;  // reused RHS/solution buffer
-
-  // Marks a buffer fired at the CURRENT state time: the fire instant becomes
-  // a breakpoint, and so does the end of its output ramp (a slope
-  // discontinuity the step grid must land on, like a StepSpec corner).
-  const auto fire_buffer = [&](int k) {
-    state.buffer_fire_time[static_cast<std::size_t>(k)] = state.time;
-    breakpoints.insert(state.time);
-    const double rise = buffers[static_cast<std::size_t>(k)].output_rise;
-    if (rise > 0.0 && state.time + rise < t_stop)
-      breakpoints.insert(state.time + rise);
+      columns[c]->push_back(v[recorded[c]]);
   };
 
-  // Records the accepted step and checks the probe on its sample interval;
-  // true when a stopping probe has its crossing.
-  const auto end_step = [&]() {
-    record(state);
-    ++steps;
-    if (!probe || crossing) return false;
-    const std::size_t k = times.size();
-    const std::vector<double>& v = *probe_values;
-    crossing = numeric::interval_crossing(times[k - 2], times[k - 1], v[k - 2],
-                                          v[k - 1], probe->level, 0.0, +1);
-    return crossing && stop_at_crossing;
-  };
+  std::vector<double> x(assembler.unknown_count());
+  const detail::StepperInput in{
+      options, {&circuit}, assembler, dc.data(),
+      probe ? std::vector<NodeId>{probe_node} : std::vector<NodeId>{},
+      probe ? probe->level : 0.0, stop_at_crossing};
+  detail::StepperOutput run = detail::step_lanes<1>(in, x, make_factor, record);
 
-  // Steps on from the window end, at the same dt, to 4x the horizon: the
-  // new window's source corners become breakpoints, and so do output-ramp
-  // ends of buffers the old horizon clipped away.
-  const auto extend_horizon = [&]() {
-    const double previous = t_stop;
-    t_stop *= 4.0;
-    for (const auto& v : circuit.voltage_sources())
-      collect_source_breakpoints(v.spec, t_stop, breakpoints);
-    for (const auto& i : circuit.current_sources())
-      collect_source_breakpoints(i.spec, t_stop, breakpoints);
-    for (std::size_t k = 0; k < buffers.size(); ++k) {
-      const double ramp_end = state.buffer_fire_time[k] + buffers[k].output_rise;
-      if (buffers[k].output_rise > 0.0 && ramp_end >= previous && ramp_end < t_stop)
-        breakpoints.insert(ramp_end);
-    }
-    ++extensions;
-    OBS_COUNTER_ADD("transient.horizon_extensions", 1);
-  };
-
-  for (;;) {
-    if (state.time >= t_stop - 0.5 * min_dt) {
-      if (!probe || crossing || extensions == kMaxHorizonExtensions) break;
-      extend_horizon();
-    }
-    // Distance to the next breakpoint bounds the step; snap to the cache
-    // quantization grid so the factorization and the RHS use the same dt.
-    const auto next_bp = breakpoints.upper_bound(state.time + 0.5 * min_dt);
-    const double bp_time = (next_bp != breakpoints.end()) ? *next_bp : t_stop;
-    double dt = std::min(dt_nominal, bp_time - state.time);
-    dt = std::min(dt, t_stop - state.time);
-    dt = static_cast<double>(quantize(dt)) * dt_quantum;
-    if (dt <= 0.0) break;
-
-    const Integrator method =
-        (be_steps_left > 0) ? Integrator::kBackwardEuler : options.integrator;
-
-    assembler.transient_rhs_into(dt, method, state, solution);
-    factorized(dt, method).solve_in_place(solution);
-
-    // Buffer event detection: did any unfired buffer's input cross its
-    // threshold during this step? On a symmetric bus several buffers cross
-    // SIMULTANEOUSLY (identical lines switching together), so events are a
-    // cluster, not a single buffer: everything within a small fraction of
-    // the step of the earliest crossing fires together (the interpolated
-    // times of "identical" crossings differ by rounding noise only). Firing
-    // one alone would leave its twins parked exactly AT their threshold,
-    // where a strict crossing test can never trigger again — so an unfired
-    // buffer already at/past its threshold also counts as a crossing, at
-    // the step start (the belt-and-braces recovery for any parked state).
-    double earliest_event = kInf;  // earliest INTERPOLATED crossing
-    std::vector<std::pair<double, std::size_t>> crossings;  // (tc, buffer)
-    for (std::size_t k = 0; k < buffers.size(); ++k) {
-      if (state.buffer_fire_time[k] != kInf) continue;
-      const auto& b = buffers[k];
-      const double level = b.threshold * b.vdd;
-      const double v_old = node_voltage_of(state.node_voltage, b.input);
-      const double v_new = node_voltage_of(solution, b.input);
-      const bool past_old =
-          b.input_direction >= 0 ? v_old >= level : v_old <= level;
-      const bool past_new =
-          b.input_direction >= 0 ? v_new >= level : v_new <= level;
-      if (!past_old && !past_new) continue;
-      if (past_old) {
-        // Parked at/past threshold (the simultaneity recovery): fires at
-        // whatever time this step settles on, and — crucially — does NOT
-        // enter the subdivision decision, or its step-start tc would mask a
-        // genuine mid-step crossing of another buffer.
-        crossings.emplace_back(state.time, k);
-        continue;
-      }
-      const double tc =
-          state.time + dt * (level - v_old) / (v_new - v_old);
-      crossings.emplace_back(tc, k);
-      earliest_event = std::min(earliest_event, tc);
-    }
-    const bool have_event = !crossings.empty();
-    const double cluster_window = 1e-6 * dt;
-
-    if (have_event && earliest_event > state.time + min_dt &&
-        earliest_event < state.time + dt * (1.0 - 1e-9)) {
-      // Reject; re-take the step so it ends exactly at the crossing, firing
-      // the whole cluster there — parked buffers included (later crossings
-      // stay unfired and are re-detected from the shortened step's end
-      // state).
-      const double dt_event =
-          static_cast<double>(quantize(earliest_event - state.time)) * dt_quantum;
-      assembler.transient_rhs_into(dt_event, method, state, solution);
-      factorized(dt_event, method).solve_in_place(solution);
-      assembler.advance_state(solution, dt_event, method, state);
-      for (const auto& [tc, k] : crossings)
-        if (tc <= earliest_event + cluster_window)
-          fire_buffer(static_cast<int>(k));
-      be_steps_left = options.be_steps_after_breakpoint;
-      if (end_step()) break;
-      continue;
-    }
-
-    const bool lands_on_breakpoint =
-        next_bp != breakpoints.end() &&
-        std::fabs((state.time + dt) - *next_bp) <= 0.5 * min_dt;
-    assembler.advance_state(solution, dt, method, state);
-    if (have_event) {
-      // Crossing at (or numerically at) the step end — or too close to the
-      // step start to subdivide: fire every detected crossing here.
-      for (const auto& [tc, k] : crossings) fire_buffer(static_cast<int>(k));
-      be_steps_left = options.be_steps_after_breakpoint;
-    } else if (lands_on_breakpoint) {
-      be_steps_left = options.be_steps_after_breakpoint;
-    } else if (be_steps_left > 0) {
-      --be_steps_left;
-    }
-    if (end_step()) break;
-  }
-
-  OBS_COUNTER_ADD("transient.steps", steps);
-  OBS_COUNTER_ADD("cache.lu_dt.hits", lu_hits);
-  OBS_COUNTER_ADD("cache.lu_dt.misses", factorizations);
+  OBS_COUNTER_ADD("transient.steps", run.steps);
+  OBS_COUNTER_ADD("cache.lu_dt.hits", run.lu_hits);
+  OBS_COUNTER_ADD("cache.lu_dt.misses", run.lu_misses);
   TransientResult result;
   result.waveforms = WaveformSet(std::move(times), std::move(node_values));
-  result.buffer_fire_times = state.buffer_fire_time;
-  result.steps_taken = steps;
-  result.lu_factorizations = factorizations;
+  result.buffer_fire_times = std::move(run.buffer_fire_times);
+  result.steps_taken = run.steps;
+  result.lu_factorizations = run.lu_misses;
   result.used_sparse_solver = use_sparse;
-  result.crossing = crossing;
+  result.crossing = run.crossing[0];
   return result;
 }
 

@@ -6,6 +6,14 @@
 // each discontinuity use backward Euler to damp the trapezoidal rule's
 // spurious oscillation on jumps.
 //
+// One stepper (sim/stepper.h) serves every run, templated on the lane
+// width W: run_transient steps one circuit at W = 1, and
+// run_batched_crossings (sim/transient_batch.h) steps a tile of W = 4/8
+// circuits of one topology in lockstep. Both share its option check,
+// breakpoint set, dt quantization, LU cache, backward-Euler rule, probe
+// test, horizon extension and companion-model kernels. Only W = 1 runs
+// have buffers, the dense solver and waveform recording:
+//
 // Buffer events are located by step rejection: when a buffer's input crosses
 // its threshold inside a step, the step is re-taken so it ends exactly at the
 // (interpolated) crossing time, the buffer is marked fired there, and
@@ -131,5 +139,12 @@ std::vector<double> dc_operating_point(const Circuit& circuit, double gmin = 1e-
 // Exposed for testing.
 void collect_source_breakpoints(const SourceSpec& spec, double t_stop,
                                 std::set<double>& out);
+
+namespace detail {
+// `crossing`, or the std::runtime_error, prefixed with `context`, that a
+// delay entry point throws when its probe of `node` never crossed.
+double crossed(const std::optional<double>& crossing, const char* context,
+               const std::string& node);
+}  // namespace detail
 
 }  // namespace rlcsim::sim

@@ -1,44 +1,15 @@
 #include "sim/transient_batch.h"
 
-#include <algorithm>
-#include <cfloat>
 #include <cmath>
-#include <cstdint>
-#include <limits>
-#include <map>
 #include <set>
-#include <type_traits>
-#include <utility>
+#include <stdexcept>
 
-#include "numeric/interpolate.h"
 #include "numeric/sparse_batch.h"
 #include "obs/obs.h"
-#include "sim/builders.h"
 #include "sim/mna.h"
-
-// Batched stepping is memcmp'd against the scalar path; excess-precision
-// double evaluation would fork the two (see numeric/fp_env.h).
-static_assert(FLT_EVAL_METHOD == 0,
-              "rlcsim batch kernels require FLT_EVAL_METHOD == 0 "
-              "(strict double evaluation)");
+#include "sim/stepper.h"
 
 namespace rlcsim::sim {
-namespace {
-
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-std::set<double> breakpoints_of(const Circuit& circuit, double t_stop) {
-  std::set<double> breakpoints;
-  breakpoints.insert(0.0);
-  breakpoints.insert(t_stop);
-  for (const auto& v : circuit.voltage_sources())
-    collect_source_breakpoints(v.spec, t_stop, breakpoints);
-  for (const auto& i : circuit.current_sources())
-    collect_source_breakpoints(i.spec, t_stop, breakpoints);
-  return breakpoints;
-}
-
-}  // namespace
 
 // Every ineligible batch returns through here, counting its reason under
 // batch.ineligible.<reason> (one counter handle per call site).
@@ -57,12 +28,7 @@ std::optional<std::vector<double>> run_batched_crossings(
 
   // Ineligible-option combinations fall back rather than throw: the scalar
   // path then raises exactly the diagnostics run_transient documents.
-  if (!(options.t_stop > 0.0)) RLCSIM_BATCH_INELIGIBLE("options");
-  const double dt_nominal =
-      options.dt > 0.0 ? options.dt : options.t_stop / 4000.0;
-  if (dt_nominal >= options.t_stop) RLCSIM_BATCH_INELIGIBLE("options");
-  if (!(options.min_dt_fraction >= 1e-12) || options.min_dt_fraction > 1.0)
-    RLCSIM_BATCH_INELIGIBLE("options");
+  if (detail::invalid_options(options)) RLCSIM_BATCH_INELIGIBLE("options");
 
   // The batch replays RECORDED symbolic factorizations — without a fully
   // seeded SolverReuse each lane would pay (and pivot) its own symbolic
@@ -96,11 +62,10 @@ std::optional<std::vector<double>> run_batched_crossings(
       RLCSIM_BATCH_INELIGIBLE("pattern");
   }
 
-  // The batched RHS/advance kernels below walk lane 0's element topology for
-  // EVERY lane (element-outer, lane-inner), so all lanes must agree on
-  // element counts and node/branch indices — only the VALUES may differ.
-  // Sweep tiles are built by one builder and always qualify; anything else
-  // falls back to the scalar per-point path.
+  // The stepper walks lane 0's element topology for EVERY lane, so all
+  // lanes must agree on element counts and node/branch indices — only the
+  // VALUES may differ. Sweep tiles are built by one builder and always
+  // qualify; anything else falls back to the scalar per-point path.
   const Circuit& c0 = circuits[0];
   const auto& caps0 = c0.capacitors();
   const auto& inductors0 = c0.inductors();
@@ -138,70 +103,38 @@ std::optional<std::vector<double>> run_batched_crossings(
         RLCSIM_BATCH_INELIGIBLE("topology");
   }
 
-  // Lane-major element value tables (SoA mirrors of the per-lane circuits).
-  const std::size_t n_nodes = c0.node_count();
-  std::vector<double> cap_c(caps0.size() * lanes);
-  std::vector<double> ind_l(inductors0.size() * lanes);
-  std::vector<double> mut_m(mutuals0.size() * lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const Circuit& c = circuits[lane];
-    for (std::size_t k = 0; k < caps0.size(); ++k)
-      cap_c[k * lanes + lane] = c.capacitors()[k].capacitance;
-    for (std::size_t k = 0; k < inductors0.size(); ++k)
-      ind_l[k * lanes + lane] = c.inductors()[k].inductance;
-    for (std::size_t k = 0; k < mutuals0.size(); ++k)
-      mut_m[k * lanes + lane] = c.mutuals()[k].mutual;
+  // Shared breakpoints in every window the tile can reach (it extends
+  // together): buffer-free circuits step on source corners only, so equal
+  // corners mean an identical, state-independent dt sequence. A lane whose
+  // source specs equal lane 0's shares them trivially; any other lane must
+  // list lane 0's corners in every window. A tile with a pulse train whose
+  // corners cannot be enumerated out to the last window runs scalar.
+  try {
+    const double last = std::ldexp(options.t_stop, 2 * kMaxHorizonExtensions);
+    for (const auto& v : vsources0)
+      if (const auto* pulse = std::get_if<PulseSpec>(&v.spec))
+        (void)detail::last_pulse_cycle(*pulse, last);
+    for (const auto& i : isources0)
+      if (const auto* pulse = std::get_if<PulseSpec>(&i.spec))
+        (void)detail::last_pulse_cycle(*pulse, last);
+    for (std::size_t lane = 1; lane < lanes; ++lane) {
+      const Circuit& c = circuits[lane];
+      bool same = true;
+      for (std::size_t k = 0; k < vsources0.size(); ++k)
+        same = same && c.voltage_sources()[k].spec == vsources0[k].spec;
+      for (std::size_t k = 0; k < isources0.size(); ++k)
+        same = same && c.current_sources()[k].spec == isources0[k].spec;
+      for (int window = kMaxHorizonExtensions; !same && window >= 0; --window) {
+        const double horizon = std::ldexp(options.t_stop, 2 * window);  // x 4^window
+        std::set<double> lane0, other;
+        detail::add_source_breakpoints(c0, horizon, lane0);
+        detail::add_source_breakpoints(c, horizon, other);
+        if (other != lane0) RLCSIM_BATCH_INELIGIBLE("breakpoints");
+      }
+    }
+  } catch (const std::invalid_argument&) {
+    RLCSIM_BATCH_INELIGIBLE("breakpoints");
   }
-  std::vector<std::size_t> ind_branch(inductors0.size());
-  for (std::size_t k = 0; k < inductors0.size(); ++k)
-    ind_branch[k] = assemblers[0].inductor_branch(k);
-  std::vector<std::size_t> vsrc_branch(vsources0.size());
-  for (std::size_t k = 0; k < vsources0.size(); ++k)
-    vsrc_branch[k] = assemblers[0].vsource_branch(k);
-
-  // Sweep tiles usually vary the passives, not the drive, so most sources
-  // carry the SAME spec in every lane: detect that once here and the step
-  // loop evaluates the waveform once per step instead of once per lane
-  // (value-exact — identical spec, identical t, identical result).
-  const auto specs_equal = [](const SourceSpec& a, const SourceSpec& b) {
-    if (a.index() != b.index()) return false;
-    return std::visit(
-        [&](const auto& sa) {
-          using T = std::decay_t<decltype(sa)>;
-          const auto& sb = std::get<T>(b);
-          if constexpr (std::is_same_v<T, DcSpec>) {
-            return sa.value == sb.value;
-          } else if constexpr (std::is_same_v<T, StepSpec>) {
-            return sa.v0 == sb.v0 && sa.v1 == sb.v1 && sa.delay == sb.delay &&
-                   sa.rise == sb.rise;
-          } else if constexpr (std::is_same_v<T, PwlSpec>) {
-            return sa.points == sb.points;
-          } else {
-            return sa.v0 == sb.v0 && sa.v1 == sb.v1 && sa.delay == sb.delay &&
-                   sa.rise == sb.rise && sa.fall == sb.fall &&
-                   sa.width == sb.width && sa.period == sb.period;
-          }
-        },
-        a);
-  };
-  std::vector<char> vsrc_shared(vsources0.size(), 1);
-  std::vector<char> isrc_shared(isources0.size(), 1);
-  for (std::size_t lane = 1; lane < lanes; ++lane) {
-    const Circuit& c = circuits[lane];
-    for (std::size_t k = 0; k < vsources0.size(); ++k)
-      if (!specs_equal(c.voltage_sources()[k].spec, vsources0[k].spec))
-        vsrc_shared[k] = 0;
-    for (std::size_t k = 0; k < isources0.size(); ++k)
-      if (!specs_equal(c.current_sources()[k].spec, isources0[k].spec))
-        isrc_shared[k] = 0;
-  }
-
-  // Shared breakpoint set: buffer-free circuits step on source corners
-  // only, so equal sets mean an identical (state-independent) dt sequence.
-  const std::set<double> breakpoints = breakpoints_of(circuits[0], options.t_stop);
-  for (std::size_t lane = 1; lane < lanes; ++lane)
-    if (breakpoints_of(circuits[lane], options.t_stop) != breakpoints)
-      RLCSIM_BATCH_INELIGIBLE("breakpoints");
 
   // --- batched DC operating point -----------------------------------------
   numeric::BatchedValues dc_values(
@@ -211,353 +144,47 @@ std::optional<std::vector<double>> run_batched_crossings(
     if (!assemblers[lane].dc_values_into(options.dc_gmin, *reuse->dc.pattern,
                                          dc_values, lane))
       RLCSIM_BATCH_INELIGIBLE("pattern");
-    TransientState empty;  // buffer-free: no fire times to carry
-    dc_solution.set_lane(lane, assemblers[lane].dc_rhs(0.0, empty));
+    dc_solution.set_lane(lane, assemblers[lane].dc_rhs(0.0));
   }
   numeric::SparseLuBatch dc_lu(*reuse->dc.symbolic, lanes);
   dc_lu.refactor(dc_values);
   dc_lu.solve_in_place(dc_solution);
 
-  // Lane-major SoA transient state (the batch-kernel mirror of
-  // MnaAssembler::initial_state): node voltages are the first n_nodes
-  // solution slots, capacitor histories start at zero, inductor currents
-  // come from their branch unknowns.
-  double time = 0.0;
-  std::vector<double> nv(dc_solution.data(), dc_solution.data() + n_nodes * lanes);
-  std::vector<double> cap_i(caps0.size() * lanes, 0.0);
-  std::vector<double> ind_i(inductors0.size() * lanes);
-  for (std::size_t k = 0; k < inductors0.size(); ++k)
-    for (std::size_t lane = 0; lane < lanes; ++lane)
-      ind_i[k * lanes + lane] = dc_solution.at(ind_branch[k], lane);
-
-  // --- LU cache keyed by (quantized dt, integrator), as in run_transient ---
-  const double dt_quantum = dt_nominal * options.min_dt_fraction;
-  const auto quantize = [&](double dt) {
-    return static_cast<std::int64_t>(std::llround(dt / dt_quantum));
-  };
-  std::map<std::pair<std::int64_t, int>, numeric::SparseLuBatch> lu_cache;
-  std::size_t lu_hits = 0, lu_misses = 0;  // counted once per tile
   reuse->system.hits += lanes;  // one replayed system symbolic per lane
   OBS_COUNTER_ADD("reuse.hits", lanes);
   OBS_COUNTER_ADD("batch.tiles", 1);
   OBS_COUNTER_ADD("batch.lanes", lanes);
+
+  // One batched refactor per (dt, integrator) key: every lane stamps its
+  // G + scale*C onto the recorded pattern.
   numeric::BatchedValues system_values(
       static_cast<std::size_t>(reuse->system.pattern->nnz()), lanes);
-
-  // last_* short-circuits the map on the common steady run of equal steps
-  // (the key only changes at breakpoint-clipped steps and method switches).
-  std::pair<std::int64_t, int> last_key{std::numeric_limits<std::int64_t>::min(),
-                                        -1};
-  const numeric::SparseLuBatch* last_factor = nullptr;
-  const auto factorized = [&](double dt,
-                              Integrator method) -> const numeric::SparseLuBatch& {
-    const auto key = std::make_pair(quantize(dt), static_cast<int>(method));
-    if (last_factor != nullptr && key == last_key) {
-      ++lu_hits;
-      return *last_factor;
-    }
-    auto it = lu_cache.find(key);
-    if (it != lu_cache.end()) {
-      ++lu_hits;
-    } else {
-      ++lu_misses;
-      const double scale = MnaAssembler::transient_scale(dt, method);
-      for (std::size_t lane = 0; lane < lanes; ++lane)
-        assemblers[lane].stamp_values_into(scale, system_values, lane);
-      numeric::SparseLuBatch factor(*reuse->system.symbolic, lanes);
-      factor.refactor(system_values);
-      it = lu_cache.emplace(key, std::move(factor)).first;
-    }
-    last_key = key;
-    last_factor = &it->second;
-    return *last_factor;
+  const auto make_factor = [&](double dt, Integrator method) {
+    const double scale = MnaAssembler::transient_scale(dt, method);
+    for (std::size_t lane = 0; lane < lanes; ++lane)
+      assemblers[lane].stamp_values_into(scale, system_values, lane);
+    numeric::SparseLuBatch factor(*reuse->system.symbolic, lanes);
+    factor.refactor(system_values);
+    return factor;
   };
-
-  // Per-(dt, integrator) companion coefficients, hoisted out of the step
-  // kernels: g = (trap ? 2 : 1) * C / dt for capacitors, the inductor and
-  // mutual history factors likewise. Each entry is computed with the exact
-  // scalar-path expression, and the step loop's dt is RE-DERIVED from its
-  // quantized key (dt = quantize(dt) * dt_quantum), so caching by key is
-  // value-exact — this just moves ~element_count lane divisions per step
-  // into the rare dt-change path, as the LU cache already does for stamping.
-  struct StepCoeffs {
-    std::int64_t key = std::numeric_limits<std::int64_t>::min();
-    int method = -1;
-    std::vector<double> cap_g, ind_h, mut_h;
-  };
-  StepCoeffs coeffs;
-  coeffs.cap_g.resize(cap_c.size());
-  coeffs.ind_h.resize(ind_l.size());
-  coeffs.mut_h.resize(mut_m.size());
-  const auto coeffs_for = [&](double dt, Integrator method) -> const StepCoeffs& {
-    const std::int64_t key = quantize(dt);
-    if (coeffs.key == key && coeffs.method == static_cast<int>(method))
-      return coeffs;
-    const bool trap = method == Integrator::kTrapezoidal;
-    for (std::size_t i = 0; i < cap_c.size(); ++i)
-      coeffs.cap_g[i] = (trap ? 2.0 : 1.0) * cap_c[i] / dt;
-    for (std::size_t i = 0; i < ind_l.size(); ++i)
-      coeffs.ind_h[i] = trap ? 2.0 * ind_l[i] / dt : ind_l[i] / dt;
-    const double mutual_factor = trap ? 2.0 : 1.0;
-    for (std::size_t i = 0; i < mut_m.size(); ++i)
-      coeffs.mut_h[i] = mutual_factor * mut_m[i] / dt;
-    coeffs.key = key;
-    coeffs.method = static_cast<int>(method);
-    return coeffs;
-  };
-
-  // --- probes: each lane's previous probe sample and its crossing. A lane
-  // retires at the step that brackets its crossing (numeric::
-  // interval_crossing, the scalar probe's test); a lane still open when the
-  // window ends is left NaN for the scalar auto-extend below.
-  std::vector<double> crossings(lanes, kNaN);
-  std::vector<char> retired(lanes, 0);
-  std::size_t open_lanes = lanes;
-  std::vector<double> previous(lanes);
-
-  // --- main loop: run_transient's grid walk, minus the (absent) buffer
-  // event machinery. The stepping kernels run with a COMPILE-TIME lane
-  // width W so the lane-inner loops unroll/vectorize exactly like the
-  // SparseLuBatch kernels do; per lane the slot-update sequence (and every
-  // expression) is the scalar transient_rhs_into / advance_state one, so
-  // results stay bit-identical to W scalar runs.
-  const double min_dt = dt_nominal * options.min_dt_fraction;
-  numeric::BatchedValues solution(unknowns, lanes);
-
-  const auto run_steps = [&](auto width) {
-    constexpr std::size_t W = decltype(width)::value;
-
-    // Batched transient RHS: transient_rhs_into with the lane loop innermost.
-    // The dt-dependent companion factors come precomputed in `coeff` (each
-    // the exact scalar-path expression; see coeffs_for above). The kernels
-    // use the same vectorization recipe as SparseLuBatch::solve_kernel —
-    // restrict-qualified base pointers, per-element staging arrays, and
-    // `#pragma GCC unroll 1` to keep the lane loops as loops — because the
-    // same phantom store/load aliasing otherwise compiles them scalar.
-    const auto batched_rhs = [&](double dt, Integrator method,
-                                 const StepCoeffs& coeff,
-                                 numeric::BatchedValues& rhs) {
-      // Only the node rows accumulate (+=) and need clearing: every branch
-      // row — inductor and voltage-source alike — is assigned (=) below.
-      std::fill_n(rhs.data(), n_nodes * W, 0.0);
-      double* __restrict const r = rhs.data();
-      const double* __restrict const nvp = nv.data();
-      const double* __restrict const ci = cap_i.data();
-      const double* __restrict const ii = ind_i.data();
-      const double* __restrict const cg = coeff.cap_g.data();
-      const double* __restrict const ih = coeff.ind_h.data();
-      const double* __restrict const mh = coeff.mut_h.data();
-      const double t_next = time + dt;
-      const bool trap = method == Integrator::kTrapezoidal;
-
-      // Capacitor companions (buffer input caps are absent: buffer-free).
-      double hist[W];
-      for (std::size_t k = 0; k < caps0.size(); ++k) {
-        const NodeId n1 = caps0[k].n1, n2 = caps0[k].n2;
-#pragma GCC unroll 1
-        for (std::size_t lane = 0; lane < W; ++lane) {
-          const double v_prev =
-              (n1 == kGround ? 0.0
-                             : nvp[static_cast<std::size_t>(n1) * W + lane]) -
-              (n2 == kGround ? 0.0
-                             : nvp[static_cast<std::size_t>(n2) * W + lane]);
-          const double g = cg[k * W + lane];
-          hist[lane] = trap ? g * v_prev + ci[k * W + lane] : g * v_prev;
-        }
-        if (n1 != kGround) {
-          double* __restrict const rn = r + static_cast<std::size_t>(n1) * W;
-#pragma GCC unroll 1
-          for (std::size_t lane = 0; lane < W; ++lane) rn[lane] += hist[lane];
-        }
-        if (n2 != kGround) {
-          double* __restrict const rn = r + static_cast<std::size_t>(n2) * W;
-#pragma GCC unroll 1
-          for (std::size_t lane = 0; lane < W; ++lane) rn[lane] -= hist[lane];
-        }
-      }
-
-      // Inductor branch histories.
-      for (std::size_t k = 0; k < inductors0.size(); ++k) {
-        const NodeId n1 = inductors0[k].n1, n2 = inductors0[k].n2;
-        double* __restrict const rj = r + ind_branch[k] * W;
-#pragma GCC unroll 1
-        for (std::size_t lane = 0; lane < W; ++lane) {
-          const double v_prev =
-              (n1 == kGround ? 0.0
-                             : nvp[static_cast<std::size_t>(n1) * W + lane]) -
-              (n2 == kGround ? 0.0
-                             : nvp[static_cast<std::size_t>(n2) * W + lane]);
-          if (trap)
-            rj[lane] = -v_prev - ih[k * W + lane] * ii[k * W + lane];
-          else
-            rj[lane] = -ih[k * W + lane] * ii[k * W + lane];
-        }
-      }
-      // Mutual-coupling history terms mirror the matrix cross stamps. The
-      // two updates hit two DIFFERENT branch rows (ia != ib), so splitting
-      // them into separate lane loops preserves each row's += sequence.
-      for (std::size_t k = 0; k < mutuals0.size(); ++k) {
-        const std::size_t ia = mutuals0[k].inductor_a, ib = mutuals0[k].inductor_b;
-        double* __restrict const ra = r + ind_branch[ia] * W;
-        double* __restrict const rb = r + ind_branch[ib] * W;
-#pragma GCC unroll 1
-        for (std::size_t lane = 0; lane < W; ++lane)
-          ra[lane] -= mh[k * W + lane] * ii[ib * W + lane];
-#pragma GCC unroll 1
-        for (std::size_t lane = 0; lane < W; ++lane)
-          rb[lane] -= mh[k * W + lane] * ii[ia * W + lane];
-      }
-
-      // Sources evaluated at the END of the step (implicit methods); a
-      // lane-shared spec is evaluated once and broadcast.
-      for (std::size_t k = 0; k < vsources0.size(); ++k) {
-        double* __restrict const rj = r + vsrc_branch[k] * W;
-        if (vsrc_shared[k]) {
-          const double v = source_value(vsources0[k].spec, t_next);
-#pragma GCC unroll 1
-          for (std::size_t lane = 0; lane < W; ++lane) rj[lane] = v;
-        } else {
-#pragma GCC unroll 1
-          for (std::size_t lane = 0; lane < W; ++lane)
-            rj[lane] =
-                source_value(circuits[lane].voltage_sources()[k].spec, t_next);
-        }
-      }
-      for (std::size_t k = 0; k < isources0.size(); ++k) {
-        const NodeId to = isources0[k].to, from = isources0[k].from;
-        if (isrc_shared[k]) {
-          const double i = source_value(isources0[k].spec, t_next);
-          if (to != kGround) {
-            double* __restrict const rn = r + static_cast<std::size_t>(to) * W;
-#pragma GCC unroll 1
-            for (std::size_t lane = 0; lane < W; ++lane) rn[lane] += i;
-          }
-          if (from != kGround) {
-            double* __restrict const rn =
-                r + static_cast<std::size_t>(from) * W;
-#pragma GCC unroll 1
-            for (std::size_t lane = 0; lane < W; ++lane) rn[lane] -= i;
-          }
-        } else {
-#pragma GCC unroll 1
-          for (std::size_t lane = 0; lane < W; ++lane) {
-            const double i =
-                source_value(circuits[lane].current_sources()[k].spec, t_next);
-            if (to != kGround)
-              r[static_cast<std::size_t>(to) * W + lane] += i;
-            if (from != kGround)
-              r[static_cast<std::size_t>(from) * W + lane] -= i;
-          }
-        }
-      }
-    };
-
-    // Batched post-solve update: advance_state's history recurrences over
-    // the SoA state (capacitor loop reads the OLD node voltages, which are
-    // only overwritten afterwards, exactly as in the scalar version). The
-    // restrict locals live in an inner block so the trailing copy through
-    // nv.data() does not overlap their scope.
-    const auto batched_advance = [&](const numeric::BatchedValues& sol,
-                                     double dt, Integrator method,
-                                     const StepCoeffs& coeff) {
-      const bool trap = method == Integrator::kTrapezoidal;
-      {
-        const double* __restrict const s = sol.data();
-        const double* __restrict const nvp = nv.data();
-        double* __restrict const ci = cap_i.data();
-        double* __restrict const ii = ind_i.data();
-        const double* __restrict const cg = coeff.cap_g.data();
-        for (std::size_t k = 0; k < caps0.size(); ++k) {
-          const NodeId n1 = caps0[k].n1, n2 = caps0[k].n2;
-#pragma GCC unroll 1
-          for (std::size_t lane = 0; lane < W; ++lane) {
-            const double v_old =
-                (n1 == kGround ? 0.0
-                               : nvp[static_cast<std::size_t>(n1) * W + lane]) -
-                (n2 == kGround ? 0.0
-                               : nvp[static_cast<std::size_t>(n2) * W + lane]);
-            const double v_new =
-                (n1 == kGround ? 0.0
-                               : s[static_cast<std::size_t>(n1) * W + lane]) -
-                (n2 == kGround ? 0.0
-                               : s[static_cast<std::size_t>(n2) * W + lane]);
-            const double g = cg[k * W + lane];
-            ci[k * W + lane] = trap ? g * (v_new - v_old) - ci[k * W + lane]
-                                    : g * (v_new - v_old);
-          }
-        }
-        for (std::size_t k = 0; k < inductors0.size(); ++k) {
-          const double* __restrict const sj = s + ind_branch[k] * W;
-#pragma GCC unroll 1
-          for (std::size_t lane = 0; lane < W; ++lane)
-            ii[k * W + lane] = sj[lane];
-        }
-      }
-      std::copy_n(sol.data(), n_nodes * W, nv.data());
-      time += dt;
-    };
-
-    const auto probe = [&](std::size_t lane) {
-      return nv[static_cast<std::size_t>(node_id[lane]) * W + lane];
-    };
-#pragma GCC unroll 1
-    for (std::size_t lane = 0; lane < W; ++lane) previous[lane] = probe(lane);
-
-    int be_steps_left = options.be_steps_after_breakpoint;
-    while (open_lanes != 0 && time < options.t_stop - 0.5 * min_dt) {
-      const auto next_bp = breakpoints.upper_bound(time + 0.5 * min_dt);
-      const double bp_time =
-          (next_bp != breakpoints.end()) ? *next_bp : options.t_stop;
-      double dt = std::min(dt_nominal, bp_time - time);
-      dt = std::min(dt, options.t_stop - time);
-      dt = static_cast<double>(quantize(dt)) * dt_quantum;
-      if (dt <= 0.0) break;
-
-      const Integrator method =
-          (be_steps_left > 0) ? Integrator::kBackwardEuler : options.integrator;
-
-      const StepCoeffs& coeff = coeffs_for(dt, method);
-      batched_rhs(dt, method, coeff, solution);
-      factorized(dt, method).solve_in_place(solution);
-      const bool lands_on_breakpoint =
-          std::fabs((time + dt) - bp_time) <= 0.5 * min_dt;
-      const double step_start = time;
-      batched_advance(solution, dt, method, coeff);
-
-      if (lands_on_breakpoint)
-        be_steps_left = options.be_steps_after_breakpoint;
-      else if (be_steps_left > 0)
-        --be_steps_left;
-#pragma GCC unroll 1
-      for (std::size_t lane = 0; lane < W; ++lane) {
-        if (retired[lane]) continue;
-        const double v = probe(lane);
-        if (const auto x = numeric::interval_crossing(
-                step_start, time, previous[lane], v, level, 0.0, +1)) {
-          crossings[lane] = *x;
-          retired[lane] = 1;
-          --open_lanes;
-        }
-        previous[lane] = v;
-      }
-    }
-  };
+  std::vector<const Circuit*> lane_circuits;
+  for (const Circuit& circuit : circuits) lane_circuits.push_back(&circuit);
+  const detail::StepperInput in{options, lane_circuits, assemblers[0],
+                                dc_solution.data(), node_id, level};
+  numeric::BatchedValues x(unknowns, lanes);
+  const auto no_record = [](double, const double*) {};
+  detail::StepperOutput run;
   switch (lanes) {
-    case 1: run_steps(std::integral_constant<std::size_t, 1>{}); break;
-    case 4: run_steps(std::integral_constant<std::size_t, 4>{}); break;
-    case 8: run_steps(std::integral_constant<std::size_t, 8>{}); break;
-    default: RLCSIM_BATCH_INELIGIBLE("lanes");  // unreachable: width validated on entry
+    case 1: run = detail::step_lanes<1>(in, x, make_factor, no_record); break;
+    case 4: run = detail::step_lanes<4>(in, x, make_factor, no_record); break;
+    default: run = detail::step_lanes<8>(in, x, make_factor, no_record); break;
   }
-  OBS_COUNTER_ADD("cache.lu_dt_batch.hits", lu_hits);
-  OBS_COUNTER_ADD("cache.lu_dt_batch.misses", lu_misses);
+  OBS_COUNTER_ADD("cache.lu_dt_batch.hits", run.lu_hits);
+  OBS_COUNTER_ADD("cache.lu_dt_batch.misses", run.lu_misses);
 
-  // --- lanes that missed the shared window: the scalar run_until_crossing
-  // (first window, then its horizon extensions), bit-identical to what the
-  // batch would have computed by the contract in the header -------------
+  std::vector<double> crossings(lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane)
-    if (!retired[lane])
-      crossings[lane] =
-          run_until_crossing(circuits[lane], node, level, options, context).crossing;
+    crossings[lane] = detail::crossed(run.crossing[lane], context, node);
   return crossings;
 }
 

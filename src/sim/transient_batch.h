@@ -3,32 +3,34 @@
 // The sweep engine's transient hot path runs W topologically identical
 // circuits that differ only in element VALUES, on one shared time grid
 // (explicit t_stop/dt, no buffers, identical source breakpoints). This
-// entry point steps all W of them in lockstep: per step it assembles W
-// right-hand sides, performs ONE batched numeric refactor/solve over the
-// recorded symbolic factorization (numeric::SparseLuBatch, lane-major SoA
-// values the autovectorizer turns into SIMD), and watches only the single
-// node the caller asked about: each lane keeps its previous sample of it,
-// nothing is recorded. Per-tile setup is shared too: lanes after the first
-// adopt lane 0's system pattern and value slots (the two-circuit
-// MnaAssembler constructor), and every lane writes its DC values straight
-// onto the recorded DC pattern (MnaAssembler::dc_values_into), so a tile
-// sorts one pattern, not W + W.
+// entry point steps all W of them in lockstep through the stepper every
+// scalar run uses (sim/stepper.h), instantiated at the tile's width: per
+// step one lane-major RHS, ONE batched solve over the recorded symbolic
+// factorization (numeric::SparseLuBatch, lane-major SoA values the
+// autovectorizer turns into SIMD), and a probe test on the single node the
+// caller asked about; nothing is recorded. What is batch-only is the tile
+// setup: the eligibility checks below, lanes after the first adopting lane
+// 0's system pattern and value slots (the two-circuit MnaAssembler
+// constructor), and a batched DC solve with every lane's values written
+// straight onto the recorded DC pattern (MnaAssembler::dc_values_into), so
+// a tile sorts one pattern, not W + W.
 //
 // Early stop: a lane retires at the first step whose sample interval
-// brackets its crossing (numeric::interval_crossing, the scalar probe's
-// test), and the tile ends when its last lane has retired. Retired lanes
-// keep riding the batched kernels until then; their answers are fixed.
+// brackets its crossing, and the tile ends when its last lane has retired.
+// Retired lanes keep riding the batched kernels until then; their answers
+// are fixed. A lane still open when the window ends extends the whole tile
+// (4x/16x/64x, each counted under transient.horizon_extensions), exactly
+// as its scalar run extends: the step grid of a buffer-free tile does not
+// depend on state, and its lanes share their source corners in every
+// window an extension reaches. A lane that never crosses throws the
+// scalar path's context-prefixed error.
 //
 // Bit-identity contract: every per-lane number is produced by the same
 // arithmetic, in the same order, as the scalar run_until_crossing path —
 // the batched kernels guarantee it per solve (see numeric/sparse_batch.h),
-// the stamping seams guarantee it per matrix (MnaAssembler::
-// stamp_values_into and dc_values_into), and the shared step-size sequence is state-
-// independent for buffer-free circuits. So a lane's crossing is the one its
-// scalar probe run stops at. A lane that does not cross within the shared
-// horizon is handed to the scalar run_until_crossing itself (its first
-// window, then its horizon extensions), so batched sweep results are
-// memcmp-equal to scalar ones.
+// the stamping seams per matrix (MnaAssembler::stamp_values_into and
+// dc_values_into), and the stepper per step. So every lane's crossing is
+// memcmp-equal to the one its scalar probe run stops at.
 //
 // Eligibility is checked, not assumed: a batch whose lanes cannot share the
 // grid returns std::nullopt, counts its reason under the obs counter
@@ -37,7 +39,9 @@
 // unseeded (no recorded system or DC symbolic), buffers, node (probe node
 // missing or ground), dense (below the sparse-solver size), pattern (system
 // or DC pattern differs from the record), topology (lanes differ in element
-// counts or terminals), breakpoints (lanes differ in source corners).
+// counts or terminals), breakpoints (lanes differ in source corners in some
+// window out to 4^kMaxHorizonExtensions * t_stop, or a source's corners
+// cannot be enumerated that far).
 #pragma once
 
 #include <optional>

@@ -9,10 +9,13 @@
 // 0 must keep ONE sparsity pattern (2 symbolic factorizations per sweep).
 #include "numeric/sparse_batch.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -466,6 +469,222 @@ TEST(BatchIneligible, BuffersCountTheirReason) {
       sim::run_batched_crossings(tile, "stage2.out", 0.5, options, "buffers"));
   EXPECT_EQ(ineligible_count("batch.ineligible.buffers") - before,
             obs::metrics_enabled() ? 1u : 0u);
+}
+
+// A ladder driven through Rtr by `drive` (nodes "vin", "drv", "out").
+sim::Circuit driven_ladder(const tline::GateLineLoad& system,
+                           const sim::SourceSpec& drive) {
+  sim::Circuit circuit;
+  circuit.add_voltage_source("vin", "0", drive);
+  circuit.add_resistor("vin", "drv", system.driver_resistance);
+  sim::add_rlc_ladder(circuit, "line", "drv", "out", system.line, 25);
+  circuit.add_capacitor("out", "0", system.load_capacitance);
+  return circuit;
+}
+
+TEST(BatchIneligible, BreakpointsBeyondTheFirstWindowCountTheirReason) {
+  // A tile extends together, so its lanes must share source corners in
+  // every window an extension can reach, not only inside t_stop.
+  const tline::GateLineLoad system{500.0, {1000.0, 1e-7, 1e-12}, 0.5e-12};
+  sim::SolverReuse reuse;
+  sim::TransientOptions options;
+  options.t_stop = sim::default_transient_horizon(system);
+  options.reuse = &reuse;
+  const auto pwl = [&](double corner) {
+    return sim::PwlSpec{{{0.0, 0.0}, {50e-12, 1.0}, {corner * options.t_stop, 1.0}}};
+  };
+  std::vector<sim::Circuit> tile(4, driven_ladder(system, pwl(3.0)));
+  tile[0] = driven_ladder(system, pwl(2.0));
+  (void)sim::run_transient(tile[0], options);  // seeds the records
+  std::uint64_t before = ineligible_count("batch.ineligible.breakpoints");
+  EXPECT_FALSE(sim::run_batched_crossings(tile, "out", 0.5, options, "pwl"));
+  EXPECT_EQ(ineligible_count("batch.ineligible.breakpoints") - before,
+            obs::metrics_enabled() ? 1u : 0u);
+
+  // A pulse train whose last reachable window holds more than 1e6 cycles
+  // cannot be enumerated that far: ineligible, not a throw.
+  sim::PulseSpec pulse;
+  pulse.rise = pulse.fall = 1e-15;
+  pulse.period = options.t_stop / 20000.0;
+  pulse.width = 0.4 * pulse.period;
+  const std::vector<sim::Circuit> pulsed(4, driven_ladder(system, pulse));
+  before = ineligible_count("batch.ineligible.breakpoints");
+  EXPECT_FALSE(sim::run_batched_crossings(pulsed, "out", 0.5, options, "pulse"));
+  EXPECT_EQ(ineligible_count("batch.ineligible.breakpoints") - before,
+            obs::metrics_enabled() ? 1u : 0u);
+}
+
+// ------------------------------------------- generated tiles vs scalar runs
+// The stepper's kernels have a branch per element kind and per lane-shared
+// or per-lane source spec; sweep tiles reach only a few. These tiles are
+// generated to reach every branch at W = 4 and W = 8.
+
+// splitmix64: a seeded stream whose values are fixed by the seed alone, on
+// every platform and standard library.
+class SplitMix64 {
+ public:
+  explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
+  std::uint64_t next() {
+    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+  double uniform(double lo, double hi) {  // [lo, hi)
+    return lo + (hi - lo) * static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
+
+ private:
+  std::uint64_t state_;
+};
+
+tline::GateLineLoad random_system(SplitMix64& rng) {
+  const double rtr = rng.uniform(100.0, 1000.0);
+  const tline::LineParams line{rng.uniform(500.0, 5000.0), rng.uniform(1e-8, 1e-6),
+                               rng.uniform(0.5e-12, 2e-12)};
+  return {rtr, line, rng.uniform(0.1e-12, 1e-12)};
+}
+
+// A ladder driven by a Norton source: `amplitude` volts across Rtr.
+sim::Circuit current_driven(const tline::GateLineLoad& system, double amplitude) {
+  sim::Circuit circuit;
+  circuit.add_current_source("0", "drv",
+                             sim::StepSpec{0.0, amplitude / system.driver_resistance});
+  circuit.add_resistor("drv", "0", system.driver_resistance);
+  sim::add_rlc_ladder(circuit, "line", "drv", "out", system.line, 25);
+  circuit.add_capacitor("out", "0", system.load_capacitance);
+  return circuit;
+}
+
+std::uint64_t extensions_counted() {
+  return obs::Counter("transient.horizon_extensions").this_thread_value();
+}
+
+// Steps `tile` batched, then each lane through scalar run_until_crossing on
+// the same seeded records: every crossing must match bit for bit, and the
+// tile extends its horizon as often as its slowest lane's scalar run.
+// Returns the crossings.
+std::vector<double> expect_tile_matches_scalar(const std::vector<sim::Circuit>& tile,
+                                               const std::string& node,
+                                               sim::TransientOptions options,
+                                               const char* what) {
+  sim::SolverReuse reuse;
+  options.reuse = &reuse;
+  (void)sim::run_transient(tile[0], options);  // seeds the records
+  const std::uint64_t before = extensions_counted();
+  const auto batched = sim::run_batched_crossings(tile, node, 0.5, options, what);
+  const std::uint64_t tile_extensions = extensions_counted() - before;
+  EXPECT_TRUE(batched) << what;
+  if (!batched) return {};
+  std::vector<double> scalar;
+  std::uint64_t most = 0;
+  for (const sim::Circuit& circuit : tile) {
+    const std::uint64_t lane_before = extensions_counted();
+    scalar.push_back(
+        sim::run_until_crossing(circuit, node, 0.5, options, what).crossing);
+    most = std::max(most, extensions_counted() - lane_before);
+  }
+  expect_bits_equal(scalar, *batched, what);
+  EXPECT_EQ(tile_extensions, most) << what;
+  return scalar;
+}
+
+TEST(GeneratedTiles, EveryKernelBranchMatchesScalarRuns) {
+  SplitMix64 rng(0x5eed);
+  for (const std::size_t lanes : {std::size_t{4}, std::size_t{8}}) {
+    std::vector<tline::GateLineLoad> systems;
+    sim::TransientOptions options;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      systems.push_back(random_system(rng));
+      options.t_stop =
+          std::max(options.t_stop, sim::default_transient_horizon(systems.back()));
+    }
+    options.dt = options.t_stop / 2000.0;
+
+    std::vector<sim::Circuit> ladders, amplitudes, shared_current, own_current, buses;
+    for (const tline::GateLineLoad& system : systems) {
+      ladders.push_back(sim::build_gate_line_load(system, 25));
+      amplitudes.push_back(
+          sim::build_gate_line_load(system, 25, rng.uniform(0.8, 1.5)));
+      shared_current.push_back(current_driven(system, 1.0));
+      own_current.push_back(current_driven(system, rng.uniform(0.8, 1.5)));
+      sim::CoupledLinesSpec bus;
+      bus.line = system.line;
+      bus.coupling_capacitance = rng.uniform(0.1, 0.5) * system.line.total_capacitance;
+      bus.inductive_k = rng.uniform(0.1, 0.6);
+      bus.segments = 15;
+      buses.push_back(sim::build_crosstalk_pair(bus, system.driver_resistance,
+                                                system.load_capacitance));
+    }
+    expect_tile_matches_scalar(ladders, "out", options, "ladders");
+    expect_tile_matches_scalar(amplitudes, "out", options, "per-lane amplitude");
+    expect_tile_matches_scalar(shared_current, "out", options, "current source");
+    expect_tile_matches_scalar(own_current, "out", options, "per-lane current");
+    expect_tile_matches_scalar(buses, "agg.out", options, "K-coupled bus");
+  }
+}
+
+TEST(GeneratedTiles, LanesExtendWithTheirTile) {
+  // An RC-dominated ladder's delay scales with its capacitance, so lanes
+  // scaled 1x, ~5x and ~20x from a base that crosses inside t_stop cross in
+  // the first window, after one extension and after two.
+  SplitMix64 rng(0xe47e);
+  const tline::GateLineLoad base{200.0, {2000.0, 1e-8, 1e-12}, 0.2e-12};
+  const auto scaled = [&](double factor) {
+    tline::GateLineLoad system = base;
+    system.line.total_capacitance *= factor;
+    system.load_capacitance *= factor;
+    return sim::build_gate_line_load(system, 25);
+  };
+  sim::TransientOptions options;
+  options.t_stop = sim::default_transient_horizon(base);
+  options.t_stop =
+      2.0 * sim::run_until_crossing(scaled(1.0), "out", 0.5, options, "base").crossing;
+  options.dt = options.t_stop / 1000.0;
+  for (const std::size_t lanes : {std::size_t{4}, std::size_t{8}}) {
+    std::vector<sim::Circuit> tile;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const double factor[] = {1.0, 5.0, 20.0};
+      tile.push_back(scaled(factor[lane % 3] * rng.uniform(1.0, 1.2)));
+    }
+    const std::vector<double> crossings =
+        expect_tile_matches_scalar(tile, "out", options, "extended lanes");
+    ASSERT_EQ(crossings.size(), lanes);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const double window_end[] = {1.0, 4.0, 16.0};
+      EXPECT_LE(crossings[lane], window_end[lane % 3] * options.t_stop) << lane;
+      EXPECT_GT(crossings[lane], window_end[lane % 3] / 4.0 * options.t_stop) << lane;
+    }
+  }
+}
+
+TEST(GeneratedTiles, NeverCrossingLaneThrowsTheScalarMessage) {
+  SplitMix64 rng(0x10a7);
+  sim::SolverReuse reuse;
+  sim::TransientOptions options;
+  std::vector<sim::Circuit> tile;
+  for (std::size_t lane = 0; lane < 4; ++lane) {
+    const tline::GateLineLoad system = random_system(rng);
+    options.t_stop = std::max(options.t_stop, sim::default_transient_horizon(system));
+    tile.push_back(sim::build_gate_line_load(system, 25, lane == 2 ? 0.4 : 1.0));
+  }
+  options.dt = options.t_stop / 500.0;  // the 64x horizon in 32000 steps
+  options.reuse = &reuse;
+  (void)sim::run_transient(tile[0], options);  // seeds the records
+  const auto message = [&](auto&& run) {
+    try {
+      run();
+    } catch (const std::runtime_error& error) {
+      return std::string(error.what());
+    }
+    return std::string("no throw");
+  };
+  const std::string scalar = message(
+      [&] { (void)sim::run_until_crossing(tile[2], "out", 0.5, options, "settles"); });
+  EXPECT_EQ(scalar.rfind("settles: 'out'", 0), 0u) << scalar;
+  const std::string batched = message(
+      [&] { (void)sim::run_batched_crossings(tile, "out", 0.5, options, "settles"); });
+  EXPECT_EQ(batched, scalar);
 }
 
 // ------------------------------------------- zero-coupling pattern fork

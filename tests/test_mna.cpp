@@ -10,6 +10,7 @@
 
 #include "numeric/matrix.h"
 #include "numeric/sparse_batch.h"
+#include "sim/transient.h"
 
 namespace {
 
@@ -22,8 +23,7 @@ TEST(DcSolve, VoltageDivider) {
   c.add_resistor("in", "mid", 1000.0);
   c.add_resistor("mid", "0", 3000.0);
   const MnaAssembler mna(c);
-  TransientState empty;
-  const auto x = RealLu(mna.dc_matrix()).solve(mna.dc_rhs(0.0, empty));
+  const auto x = RealLu(mna.dc_matrix()).solve(mna.dc_rhs(0.0));
   const auto mid = c.find_node("mid");
   ASSERT_TRUE(mid);
   EXPECT_NEAR(x[static_cast<std::size_t>(*mid)], 7.5, 1e-6);
@@ -35,8 +35,7 @@ TEST(DcSolve, InductorIsShort) {
   c.add_inductor("in", "out", 1e-9);
   c.add_resistor("out", "0", 100.0);
   const MnaAssembler mna(c);
-  TransientState empty;
-  const auto x = RealLu(mna.dc_matrix()).solve(mna.dc_rhs(0.0, empty));
+  const auto x = RealLu(mna.dc_matrix()).solve(mna.dc_rhs(0.0));
   const auto out = c.find_node("out");
   EXPECT_NEAR(x[static_cast<std::size_t>(*out)], 5.0, 1e-6);
   // Inductor branch current = 5 V / 100 ohm.
@@ -49,8 +48,7 @@ TEST(DcSolve, CapacitorIsOpen) {
   c.add_resistor("in", "out", 1000.0);
   c.add_capacitor("out", "0", 1e-12);
   const MnaAssembler mna(c);
-  TransientState empty;
-  const auto x = RealLu(mna.dc_matrix()).solve(mna.dc_rhs(0.0, empty));
+  const auto x = RealLu(mna.dc_matrix()).solve(mna.dc_rhs(0.0));
   const auto out = c.find_node("out");
   // No DC current -> no drop across the resistor (up to the Gmin leak).
   EXPECT_NEAR(x[static_cast<std::size_t>(*out)], 2.0, 1e-6);
@@ -87,21 +85,21 @@ TEST(TransientMatrix, CapacitorCompanionConductance) {
                std::invalid_argument);
 }
 
-TEST(InitialState, PopulatesFromDcSolution) {
+TEST(InitialState, TransientStartsFromTheDcSolution) {
+  // DC: 3 V across 3 ohm, 1 A through the inductor. A transient started
+  // from that state (node voltages, inductor current, zero capacitor
+  // history) stays there; a wrong inductor current would ring.
   Circuit c;
   c.add_voltage_source("in", "0", DcSpec{3.0});
   c.add_inductor("in", "out", 1e-9);
   c.add_resistor("out", "0", 3.0);
   c.add_capacitor("out", "0", 1e-12);
-  const MnaAssembler mna(c);
-  TransientState empty;
-  const auto x = RealLu(mna.dc_matrix()).solve(mna.dc_rhs(0.0, empty));
-  const TransientState s = mna.initial_state(x);
-  EXPECT_EQ(s.node_voltage.size(), 2u);
-  EXPECT_NEAR(s.inductor_current[0], 1.0, 1e-6);
-  EXPECT_EQ(s.capacitor_current.size(), 1u);
-  EXPECT_DOUBLE_EQ(s.capacitor_current[0], 0.0);
-  EXPECT_DOUBLE_EQ(s.time, 0.0);
+  TransientOptions opt;
+  opt.t_stop = 1e-9;
+  const TransientResult r = run_transient(c, opt);
+  EXPECT_DOUBLE_EQ(r.waveforms.time().front(), 0.0);
+  const std::vector<double> out = r.waveforms.trace("out").value();
+  for (const double v : out) EXPECT_NEAR(v, 3.0, 1e-6);
 }
 
 TEST(BufferDrive, SwitchesAtFireTime) {

@@ -33,9 +33,9 @@
 //                         justified (observability counters and the pool's
 //                         own worker identity are the sanctioned cases).
 //   lane-unroll           a batch-kernel lane loop (`for (... lane ... < W;`
-//                         in numeric/sparse_batch.cpp or
-//                         sim/transient_batch.cpp) without `#pragma GCC
-//                         unroll 1` directly above it — the pragma is
+//                         in numeric/sparse_batch.cpp or sim/stepper.h)
+//                         without `#pragma GCC unroll 1` directly above
+//                         it — the pragma is
 //                         load-bearing: GCC fully peels W-trip loops before
 //                         the vectorizer runs and cannot re-roll them, so a
 //                         missing pragma silently de-vectorizes the kernel
@@ -238,7 +238,7 @@ constexpr Rule kRules[] = {
 // The two files whose lane kernels carry the load-bearing annotations.
 bool is_batch_kernel_file(const std::string& rel_path) {
   return rel_path == "src/numeric/sparse_batch.cpp" ||
-         rel_path == "src/sim/transient_batch.cpp";
+         rel_path == "src/sim/stepper.h";
 }
 
 struct Finding {
