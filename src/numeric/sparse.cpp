@@ -5,6 +5,8 @@
 #include <numeric>
 #include <queue>
 
+#include "obs/metrics.h"
+
 namespace rlcsim::numeric {
 namespace {
 
@@ -198,25 +200,43 @@ std::vector<int> rcm_ordering(const SparsePattern& pattern) {
 
 // ------------------------------------------------------------------- stats
 
-SparseLuStatsView& sparse_lu_stats() {
-  // One global view object; per-thread isolation lives in the obs
-  // registry's shards (each Cell access resolves the CALLING thread's
-  // cell), so concurrent sweeps never race on the counters and the same
-  // numbers aggregate into bench metrics blocks for free.
-  // Observability metadata only — never feeds result values.
-  static SparseLuStatsView view(/*live=*/true);
-  return view;
+namespace {
+
+struct LuCounters {
+  obs::Counter symbolic{"lu.symbolic"};
+  obs::Counter numeric{"lu.numeric"};
+  obs::Counter ejected_lanes{"lu.ejected_lanes"};
+};
+
+const LuCounters& lu_counters() {
+  static const LuCounters counters;
+  return counters;
+}
+
+}  // namespace
+
+SparseLuStats sparse_lu_stats() {
+  const LuCounters& c = lu_counters();
+  return {c.symbolic.this_thread_value(), c.numeric.this_thread_value(),
+          c.ejected_lanes.this_thread_value()};
+}
+
+void count_lu_work(const SparseLuStats& work) {
+  const LuCounters& c = lu_counters();
+  c.symbolic.add_always(work.symbolic);
+  c.numeric.add_always(work.numeric);
+  c.ejected_lanes.add_always(work.ejected_lanes);
 }
 
 // --------------------------------------------------------------------- LU
 
 template <typename T>
-SparseLu<T>::SparseLu(const SparseMatrix<T>& a, Options options) {
+SparseLu<T>::SparseLu(const SparseMatrix<T>& a) {
   n_ = a.size();
   if (n_ == 0) throw std::invalid_argument("SparseLu: empty matrix");
   pattern_ = a.pattern_ptr();
 
-  if (options.reorder && n_ > 2) {
+  if (n_ > 2) {
     perm_ = rcm_ordering(*pattern_);
   } else {
     perm_.resize(static_cast<std::size_t>(n_));
@@ -380,8 +400,7 @@ void SparseLu<T>::full_factor(const SparseMatrix<T>& a) {
   // refactorization replay work entirely in final row order.
   for (auto& i : li_) i = pivot_inv_[static_cast<std::size_t>(i)];
 
-  ++sparse_lu_stats().symbolic;
-  ++sparse_lu_stats().numeric;
+  count_lu_work({.symbolic = 1, .numeric = 1});
 }
 
 template <typename T>
@@ -414,7 +433,7 @@ bool SparseLu<T>::numeric_refactor(const SparseMatrix<T>& a) {
       lx_[static_cast<std::size_t>(r)] = x[static_cast<std::size_t>(li_[r])] / pivot;
   }
 
-  ++sparse_lu_stats().numeric;
+  count_lu_work({.numeric = 1});
   return true;
 }
 

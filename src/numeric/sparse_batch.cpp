@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "obs/obs.h"
 #include "runtime/env.h"
 
 // The bit-identity contract assumes double expressions evaluate at double
@@ -178,9 +179,7 @@ void SparseLuBatch::refactor(const BatchedValues& values) {
   }
 
   const std::size_t n_ejected = ejected_lane_count();
-  auto& stats = sparse_lu_stats();
-  stats.numeric += lanes_ - n_ejected;
-  stats.ejected_lanes += n_ejected;
+  count_lu_work({.numeric = lanes_ - n_ejected, .ejected_lanes = n_ejected});
   OBS_COUNTER_ADD("batch.refactors", 1);
   OBS_COUNTER_ADD("batch.lanes_refactored", lanes_ - n_ejected);
   if (n_ejected == 0) return;

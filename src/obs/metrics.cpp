@@ -197,10 +197,6 @@ std::uint64_t Counter::this_thread_value() const {
   return this_shard().counters[id_].load(std::memory_order_relaxed);
 }
 
-void Counter::this_thread_store(std::uint64_t value) const {
-  this_shard().counters[id_].store(value, std::memory_order_relaxed);
-}
-
 std::uint64_t Counter::total() const {
   Registry& reg = registry();
   const std::lock_guard<std::mutex> lock(reg.mutex);

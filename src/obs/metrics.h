@@ -113,9 +113,8 @@ class Counter {
   // write-only telemetry — compute never branches on them.
   void add_always(std::uint64_t n = 1) const;
 
-  // This thread's shard cell (the per-thread view sparse_lu_stats() keeps).
+  // This thread's shard cell (what numeric::sparse_lu_stats() reads).
   std::uint64_t this_thread_value() const;
-  void this_thread_store(std::uint64_t value) const;
 
   // Aggregated over every shard (live and retired threads).
   std::uint64_t total() const;

@@ -50,7 +50,7 @@ std::vector<AcSample> ac_transfer(const Circuit& circuit,
 
   AcSweepInfo stats;
   stats.used_sparse_solver = sparse;
-  const auto global_before = numeric::sparse_lu_stats();
+  const numeric::SparseLuStats global_before = numeric::sparse_lu_stats();
 
   // One pattern for the whole sweep; only the values change per point.
   numeric::ComplexSparse a(layout.system_pattern());
@@ -113,7 +113,7 @@ std::vector<AcSample> ac_transfer(const Circuit& circuit,
   }
 
   if (sparse) {
-    const auto& global_after = numeric::sparse_lu_stats();
+    const numeric::SparseLuStats global_after = numeric::sparse_lu_stats();
     stats.symbolic_factorizations = global_after.symbolic - global_before.symbolic;
     stats.numeric_factorizations = global_after.numeric - global_before.numeric;
   }

@@ -39,8 +39,18 @@ static_assert(FLT_EVAL_METHOD == 0,
 
 namespace rlcsim::sim::detail {
 
-// The option check of both paths: the first violated rule, or nullptr.
-// run_transient throws it; a tile with it is ineligible.
+// The fixed integration settings of every run. After each breakpoint
+// (source corner, buffer fire instant) the first kBeStepsAfterBreakpoint
+// steps use backward Euler, the rest trapezoidal. Step sizes snap to
+// multiples of kMinDtFraction * dt, the LU-cache key and the smallest
+// event step. kDcGmin is the conductance the DC operating point (scalar
+// and batched) adds on every node.
+inline constexpr int kBeStepsAfterBreakpoint = 2;
+inline constexpr double kMinDtFraction = 1e-9;
+inline constexpr double kDcGmin = 1e-12;
+
+// The option check of both paths (t_stop and dt): the first violated
+// rule, or nullptr. run_transient throws it; a tile with it is ineligible.
 const char* invalid_options(const TransientOptions& options);
 
 // The last cycle collect_source_breakpoints enumerates for `pulse` within
@@ -152,12 +162,12 @@ StepperOutput step_lanes(const StepperInput& in, Buffer& x, MakeFactor&& make_fa
   // breakpoint-clipped dts that differ only in the last few ulps share a
   // factorization; the snap error is at most half a quantum, far below
   // the breakpoint landing tolerance. The quantum doubles as the smallest
-  // step (min_dt_fraction * dt). An entry also holds the key's companion
+  // step (kMinDtFraction * dt). An entry also holds the key's companion
   // coefficients: g = (trap ? 2 : 1) * C / dt for the capacitors, the
   // inductor and mutual history factors likewise. A key fixes dt (it is
   // re-derived as key * dt_quantum), so the cached values are exact.
   const double dt_nominal = options.dt > 0.0 ? options.dt : options.t_stop / 4000.0;
-  const double dt_quantum = dt_nominal * options.min_dt_fraction;
+  const double dt_quantum = dt_nominal * kMinDtFraction;
   const auto quantize = [&](double dt) {
     return static_cast<std::int64_t>(std::llround(dt / dt_quantum));
   };
@@ -414,7 +424,7 @@ StepperOutput step_lanes(const StepperInput& in, Buffer& x, MakeFactor&& make_fa
     OBS_COUNTER_ADD("transient.horizon_extensions", 1);
   };
 
-  int be_steps_left = options.be_steps_after_breakpoint;
+  int be_steps_left = kBeStepsAfterBreakpoint;
   for (;;) {
     if (time >= t_stop - 0.5 * dt_quantum) {
       if (open == 0 || extensions == kMaxHorizonExtensions) break;
@@ -430,7 +440,7 @@ StepperOutput step_lanes(const StepperInput& in, Buffer& x, MakeFactor&& make_fa
     if (dt <= 0.0) break;
 
     const Integrator method =
-        (be_steps_left > 0) ? Integrator::kBackwardEuler : options.integrator;
+        (be_steps_left > 0) ? Integrator::kBackwardEuler : Integrator::kTrapezoidal;
     const double step_start = time;
     const Entry* step = &solve(dt, method);
 
@@ -481,7 +491,7 @@ StepperOutput step_lanes(const StepperInput& in, Buffer& x, MakeFactor&& make_fa
         const double cluster_window = 1e-6 * dt;
         for (const auto& [tc, k] : crossings)
           if (tc <= earliest_event + cluster_window) fire_buffer(k);
-        be_steps_left = options.be_steps_after_breakpoint;
+        be_steps_left = kBeStepsAfterBreakpoint;
         if (end_step(step_start)) break;
         continue;
       }
@@ -495,9 +505,9 @@ StepperOutput step_lanes(const StepperInput& in, Buffer& x, MakeFactor&& make_fa
       // Crossing at (or numerically at) the step end — or too close to the
       // step start to subdivide: fire every detected crossing here.
       for (const auto& [tc, k] : crossings) fire_buffer(k);
-      be_steps_left = options.be_steps_after_breakpoint;
+      be_steps_left = kBeStepsAfterBreakpoint;
     } else if (lands_on_breakpoint) {
-      be_steps_left = options.be_steps_after_breakpoint;
+      be_steps_left = kBeStepsAfterBreakpoint;
     } else if (be_steps_left > 0) {
       --be_steps_left;
     }

@@ -31,18 +31,6 @@ struct CachedFactor {
   }
 };
 
-// The DC operating point at t = 0 (every buffer unfired), on the dense or
-// sparse LU; the sparse one replays reuse->dc when given.
-std::vector<double> dc_solution(const MnaAssembler& assembler, bool sparse, double gmin,
-                                SolverReuse* reuse) {
-  const std::vector<double> rhs = assembler.dc_rhs(0.0);
-  if (sparse)
-    return numeric::factor_reusing(assembler.dc_sparse(gmin),
-                                   reuse ? &reuse->dc : nullptr)
-        .solve(rhs);
-  return numeric::RealLu(assembler.dc_matrix(gmin)).solve(rhs);
-}
-
 }  // namespace
 
 void collect_source_breakpoints(const SourceSpec& spec, double t_stop,
@@ -95,10 +83,6 @@ const char* invalid_options(const TransientOptions& options) {
   if (!(options.t_stop > 0.0)) return "t_stop must be > 0";
   const double dt = options.dt > 0.0 ? options.dt : options.t_stop / 4000.0;
   if (dt >= options.t_stop) return "dt must be < t_stop";
-  // The lower bound keeps dt/dt_quantum inside int64 range for the LU-cache
-  // quantization (1e-12 still allows million-fold event-step refinement).
-  if (!(options.min_dt_fraction >= 1e-12) || options.min_dt_fraction > 1.0)
-    return "min_dt_fraction must be in [1e-12, 1]";
   return nullptr;
 }
 
@@ -121,12 +105,6 @@ double crossed(const std::optional<double>& crossing, const char* context,
 
 }  // namespace detail
 
-std::vector<double> dc_operating_point(const Circuit& circuit, double gmin) {
-  const MnaAssembler assembler(circuit);
-  const bool sparse = use_sparse_solver(SolverKind::kAuto, assembler.unknown_count());
-  return dc_solution(assembler, sparse, gmin, nullptr);
-}
-
 TransientResult run_transient(const Circuit& circuit, const TransientOptions& options) {
   OBS_SPAN("transient.run");
   OBS_COUNTER_ADD("transient.runs", 1);
@@ -145,8 +123,15 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
   const MnaAssembler assembler(circuit);
   const bool use_sparse = use_sparse_solver(options.solver, assembler.unknown_count());
   SolverReuse* reuse = use_sparse ? options.reuse : nullptr;
-  const std::vector<double> dc =
-      dc_solution(assembler, use_sparse, options.dc_gmin, reuse);
+  // The DC operating point at t = 0 (every buffer unfired); the sparse LU
+  // replays reuse->dc when given.
+  std::vector<double> dc = assembler.dc_rhs(0.0);
+  if (use_sparse)
+    numeric::factor_reusing(assembler.dc_sparse(detail::kDcGmin),
+                            reuse ? &reuse->dc : nullptr)
+        .solve_in_place(dc);
+  else
+    numeric::RealLu(assembler.dc_matrix(detail::kDcGmin)).solve_in_place(dc);
 
   // Every sparse factorization of this run shares one symbolic analysis,
   // held in `run_system`: the caller's recorded one when it fits this

@@ -1,10 +1,10 @@
 // Transient analysis engine.
 //
-// Fixed-step implicit integration (trapezoidal by default) with SPICE-style
+// Fixed-step implicit integration (trapezoidal) with SPICE-style
 // breakpoint handling: the step grid always lands exactly on source
-// discontinuities and buffer switching instants, and the first step(s) after
-// each discontinuity use backward Euler to damp the trapezoidal rule's
-// spurious oscillation on jumps.
+// discontinuities and buffer switching instants, and the first two steps
+// after each discontinuity use backward Euler to damp the trapezoidal
+// rule's spurious oscillation on jumps.
 //
 // One stepper (sim/stepper.h) serves every run, templated on the lane
 // width W: run_transient steps one circuit at W = 1, and
@@ -25,10 +25,10 @@
 // correctness oracle; at or above it the engine switches to the sparse LU,
 // whose symbolic factorization is computed once per run (or replayed from
 // TransientOptions::reuse) and shared by every (dt, integrator) numeric
-// factorization. Step sizes are quantized onto a
-// min_dt_fraction grid before keying the LU cache, so breakpoint-clipped dt
-// values that differ only by ulps reuse one factorization instead of
-// triggering spurious refactorizations.
+// factorization. Step sizes are quantized onto a grid of 1e-9 * dt before
+// keying the LU cache, so breakpoint-clipped dt values that differ only by
+// ulps reuse one factorization instead of triggering spurious
+// refactorizations.
 //
 // Probe runs: a caller that waits for one node's first rising crossing of
 // a level names it in TransientOptions::probe. The run checks each new
@@ -89,16 +89,12 @@ struct TransientProbe {
 // reports no crossing.
 inline constexpr int kMaxHorizonExtensions = 3;
 
+// The integration rule (trapezoidal, backward Euler for the first steps
+// after a breakpoint), the DC Gmin and the dt quantum are fixed (see
+// sim/stepper.h); a run chooses only its window, step and solver.
 struct TransientOptions {
   double t_stop = 0.0;      // required, > 0
   double dt = 0.0;          // 0 -> t_stop / 4000
-  Integrator integrator = Integrator::kTrapezoidal;
-  int be_steps_after_breakpoint = 2;  // BE steps before switching back to trap
-  double dc_gmin = 1e-12;
-  // Guard: reject pathological event cascades (step shrinking forever).
-  // Also the LU-cache quantization grid: dt is snapped to multiples of
-  // min_dt_fraction * dt before factorizing.
-  double min_dt_fraction = 1e-9;  // min event step as a fraction of dt
   SolverKind solver = SolverKind::kAuto;
   // Optional cross-run symbolic-factorization reuse (sweep hot path): the
   // run factors its DC and system matrices through reuse->dc and
@@ -125,11 +121,6 @@ struct TransientResult {
 // (including a probe node the circuit does not have) and std::runtime_error
 // if the MNA matrix is singular.
 TransientResult run_transient(const Circuit& circuit, const TransientOptions& options);
-
-// DC operating point: node voltages (and branch currents) with capacitors
-// open and inductors shorted, sources evaluated at t = 0. Uses the same
-// size-based dense/sparse solver policy as run_transient.
-std::vector<double> dc_operating_point(const Circuit& circuit, double gmin = 1e-12);
 
 // Source discontinuity times within [0, t_stop]: step corners, PWL points,
 // and every pulse edge of every cycle whose start lies in the window

@@ -141,7 +141,7 @@ std::optional<std::vector<double>> run_batched_crossings(
       static_cast<std::size_t>(reuse->dc.pattern->nnz()), lanes);
   numeric::BatchedValues dc_solution(unknowns, lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    if (!assemblers[lane].dc_values_into(options.dc_gmin, *reuse->dc.pattern,
+    if (!assemblers[lane].dc_values_into(detail::kDcGmin, *reuse->dc.pattern,
                                          dc_values, lane))
       RLCSIM_BATCH_INELIGIBLE("pattern");
     dc_solution.set_lane(lane, assemblers[lane].dc_rhs(0.0));

@@ -35,9 +35,9 @@
 // Eligibility is checked, not assumed: a batch whose lanes cannot share the
 // grid returns std::nullopt, counts its reason under the obs counter
 // batch.ineligible.<reason>, and the caller runs the points scalar. The
-// reasons: lanes (unsupported width), options (bad t_stop/dt/min_dt_fraction),
-// unseeded (no recorded system or DC symbolic), buffers, node (probe node
-// missing or ground), dense (below the sparse-solver size), pattern (system
+// reasons: lanes (unsupported width), options (bad t_stop or dt), unseeded
+// (no recorded system or DC symbolic), buffers, node (probe node missing
+// or ground), dense (below the sparse-solver size), pattern (system
 // or DC pattern differs from the record), topology (lanes differ in element
 // counts or terminals), breakpoints (lanes differ in source corners in some
 // window out to 4^kMaxHorizonExtensions * t_stop, or a source's corners

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "core/delay_model.h"
@@ -100,10 +101,15 @@ core::CrosstalkOptions scenario_crosstalk_options(const Scenario& scenario,
   return xt;
 }
 
-double transient_delay_of(const Scenario& scenario, const EngineOptions& options,
-                          sim::SolverReuse* reuse) {
-  const sim::Circuit circuit =
-      sim::build_gate_line_load(scenario.system, options.segments);
+constexpr const char* kTransientContext = "SweepEngine transient_delay";
+
+// The TransientOptions of every sweep transient, a scalar point's and a
+// tile's alike: a tile runs with the options each of its lanes' scalar runs
+// would use, which is what keeps the two paths bit-identical. The horizon
+// is the engine's t_stop, else the scenario's default.
+sim::TransientOptions transient_options(const Scenario& scenario,
+                                        const EngineOptions& options,
+                                        sim::SolverReuse* reuse) {
   sim::TransientOptions transient;
   transient.t_stop = options.t_stop > 0.0
                          ? options.t_stop
@@ -111,23 +117,20 @@ double transient_delay_of(const Scenario& scenario, const EngineOptions& options
   transient.dt = options.dt;
   transient.solver = options.solver;
   transient.reuse = reuse;
-  return sim::run_until_crossing(circuit, "out", 0.5, transient,
-                                 "SweepEngine transient_delay")
-      .crossing;
+  return transient;
 }
 
-// Tile membership for batched transient sweeps: points [first, n) ordered
-// by their closed-form eq. 9 delay (stable, so ties keep index order).
-// Each lane retires at its own crossing and a tile ends with its slowest
-// lane, so lanes of similar delay finish together. Membership changes no
-// result bit: every lane is bit-identical to its scalar run. A point eq. 9
-// does not cover (an RC line, Lt = 0, which the ladder simulates fine)
-// sorts last.
-std::vector<std::size_t> tile_order(const SweepSpec& spec, std::size_t first,
-                                    const EngineOptions& options) {
-  const std::size_t n = spec.size();
-  std::vector<double> key(n, kInf);
-  for (std::size_t i = first; i < n; ++i) {
+// Tile membership for batched transient sweeps: `points` ordered by their
+// closed-form eq. 9 delay (stable, so ties keep index order). Each lane
+// retires at its own crossing and a tile ends with its slowest lane, so
+// lanes of similar delay finish together. Membership changes no result
+// bit: every lane is bit-identical to its scalar run. A point eq. 9 does
+// not cover (an RC line, Lt = 0, which the ladder simulates fine) sorts
+// last.
+void sort_by_closed_form_delay(const SweepSpec& spec, const EngineOptions& options,
+                               std::vector<std::size_t>& points) {
+  std::vector<double> key(spec.size(), kInf);
+  for (std::size_t i : points) {
     try {
       const double delay = core::rlc_delay(spec.at(i).system, options.fit);
       if (!std::isnan(delay)) key[i] = delay;
@@ -135,11 +138,8 @@ std::vector<std::size_t> tile_order(const SweepSpec& spec, std::size_t first,
       // keeps kInf: the point sorts last
     }
   }
-  std::vector<std::size_t> order(n - first);
-  std::iota(order.begin(), order.end(), first);
-  std::stable_sort(order.begin(), order.end(),
+  std::stable_sort(points.begin(), points.end(),
                    [&](std::size_t a, std::size_t b) { return key[a] < key[b]; });
-  return order;
 }
 
 double evaluate_point(const Scenario& scenario, Analysis analysis,
@@ -151,7 +151,10 @@ double evaluate_point(const Scenario& scenario, Analysis analysis,
     case Analysis::kTwoPoleDelay:
       return core::TwoPoleModel(scenario.system).threshold_delay(0.5);
     case Analysis::kTransientDelay:
-      return transient_delay_of(scenario, options, reuse);
+      return sim::run_until_crossing(
+                 sim::build_gate_line_load(scenario.system, options.segments), "out",
+                 0.5, transient_options(scenario, options, reuse), kTransientContext)
+          .crossing;
     case Analysis::kAcBandwidth: {
       const sim::Circuit circuit =
           sim::build_gate_line_load(scenario.system, options.segments);
@@ -227,19 +230,6 @@ double evaluate_point(const Scenario& scenario, Analysis analysis,
     }
   }
   throw std::invalid_argument("SweepEngine: unknown analysis");
-}
-
-// Analyses that factor a sparse matrix per point (MNA transient, or mor
-// moment generation over G) — these get the point-0 reuse seeding in run().
-bool reuses_symbolic(Analysis analysis) {
-  return analysis == Analysis::kTransientDelay ||
-         analysis == Analysis::kCrosstalkDelay ||
-         analysis == Analysis::kCrosstalkNoise ||
-         analysis == Analysis::kCrosstalkPushout ||
-         analysis == Analysis::kReducedDelay ||
-         analysis == Analysis::kReducedNoise ||
-         analysis == Analysis::kBusRepeaterDelay ||
-         analysis == Analysis::kBusRepeaterNoise;
 }
 
 }  // namespace
@@ -424,22 +414,21 @@ struct SweepEngine::Impl {
   explicit Impl(EngineOptions opts) : options(opts), pool(opts.threads) {}
 
   // Shared result epilogue for run()/run_custom(): stats + timing.
-  static void finalize(SweepResult& out, std::size_t points,
-                       const std::vector<sim::SolverReuse>& reuse,
-                       const std::atomic<std::size_t>& symbolic,
-                       const std::atomic<std::size_t>& ejected,
+  static void finalize(SweepResult& out, const std::vector<sim::SolverReuse>& reuse,
+                       std::size_t symbolic, std::size_t ejected,
                        const obs::Stopwatch& started) {
-    out.symbolic_factorizations = symbolic.load();
-    out.ejected_lanes = ejected.load();
+    out.symbolic_factorizations = symbolic;
+    out.ejected_lanes = ejected;
     for (const auto& r : reuse)
       out.solver_reuse_hits += r.system.hits + r.conductance.hits;
     // Wall time feeds ONLY the elapsed/points-per-second observability
     // metadata, never a result value; obs::Stopwatch is the sanctioned
     // clock access (the lint wallclock-scope rule bans ::now() here).
     out.elapsed_seconds = started.seconds();
-    out.points_per_second = out.elapsed_seconds > 0.0
-                                ? static_cast<double>(points) / out.elapsed_seconds
-                                : 0.0;
+    out.points_per_second =
+        out.elapsed_seconds > 0.0
+            ? static_cast<double>(out.values.size()) / out.elapsed_seconds
+            : 0.0;
     OBS_COUNTER_ADD("sweep.points_batched", out.batched_points);
     OBS_COUNTER_ADD("sweep.points_scalar", out.scalar_points);
   }
@@ -459,63 +448,15 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
   OBS_COUNTER_ADD("sweep.runs", 1);
   const numeric::fp_env_guard fp_guard("sweep::SweepEngine::run");
   spec.validate();
-  const std::size_t n = spec.size();
+  const std::size_t n = spec.size();  // >= 1: validate() rejects empty axes
+  const EngineOptions& options = impl_->options;
   // Timing metadata only (elapsed_seconds), not a result value.
   const obs::Stopwatch started;
 
-  SweepResult out;
-  out.threads_used = impl_->pool.size();
-  out.values.assign(n, kNaN);
-  std::atomic<std::size_t> symbolic{0};
-  std::atomic<std::size_t> ejected{0};
-  std::atomic<std::size_t> batched_points{0};
-  std::atomic<std::size_t> scalar_points{0};
-
-  // Transient analyses replay recorded system and DC symbolics, reduced
-  // analyses a recorded G symbolic, all from one reference evaluation.
-  const bool seeded = reuses_symbolic(analysis);
-  // Basis-reuse sweeps: ONE Arnoldi projection at grid point 0 (recorded
-  // below), every point re-projects onto it — no per-point factorization.
-  const bool project = impl_->options.reuse_projection &&
-                       (analysis == Analysis::kReducedDelay ||
-                        analysis == Analysis::kReducedNoise);
-  mor::ArnoldiBasis basis;
-  int basis_order = 0;  // the nominal reduction_order the basis was built at
-  std::vector<sim::SolverReuse> reuse(impl_->pool.size());
-  std::size_t first = 0;
-  if (seeded && n > 0) {
-    // Reference evaluation on the calling thread: records the shared MNA
-    // pattern and the symbolic factorizations every worker replays. Seeding
-    // all workers from ONE donor is what makes results bit-identical at
-    // every thread count — the recorded pivot order, not the schedule,
-    // determines every numeric factorization.
-    sim::SolverReuse reference;
-    const std::size_t before = numeric::sparse_lu_stats().symbolic;
-    if (project) {
-      const Scenario nominal = spec.at(0);
-      basis_order = nominal.xtalk.reduction_order;
-      basis = core::crosstalk_projection_basis(
-          scenario_bus(nominal), nominal.xtalk.pattern,
-          scenario_crosstalk_options(nominal, impl_->options, &reference),
-          basis_order);
-      out.values[0] = evaluate_point(nominal, analysis, impl_->options,
-                                     &reference, &basis);
-    } else {
-      out.values[0] =
-          evaluate_point(spec.at(0), analysis, impl_->options, &reference);
-    }
-    symbolic += numeric::sparse_lu_stats().symbolic - before;
-    for (auto& r : reuse) r = reference;
-    scalar_points += 1;  // the reference point is always evaluated scalar
-    first = 1;
-  }
-
-  const EngineOptions& options = impl_->options;
-
-  // Scenario-batched tiling (kTransientDelay): hand workers tiles of
-  // `lane_width` compatible points and step each tile as ONE SIMD batch.
-  // Requires an explicit shared horizon — per-scenario default horizons
-  // preclude a shared step grid — and a seeded reference (first == 1).
+  // Workers take units of W grid points. W is the lane width for transient
+  // sweeps on one explicit horizon (per-scenario default horizons preclude
+  // a shared step grid), whose units are tiles stepped as one SIMD batch;
+  // every other sweep takes single points (W = 1).
   std::size_t lane_width = 1;
   if (analysis == Analysis::kTransientDelay && options.t_stop > 0.0) {
     lane_width = options.lanes != 0 ? options.lanes : numeric::default_lane_width();
@@ -524,75 +465,89 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
           "SweepEngine: EngineOptions::lanes must be 1, 4, or 8");
   }
 
-  if (lane_width > 1) {
-    const std::vector<std::size_t> order = tile_order(spec, first, options);
-    const std::size_t tiles = (order.size() + lane_width - 1) / lane_width;
-    impl_->pool.parallel_for(tiles, [&](std::size_t tile, std::size_t worker) {
-      OBS_SPAN("sweep.tile");
-      const std::size_t begin = tile * lane_width;
-      const std::size_t count = std::min(lane_width, order.size() - begin);
-      const std::size_t before = numeric::sparse_lu_stats().symbolic;
-      const std::size_t ejected_before = numeric::sparse_lu_stats().ejected_lanes;
-      bool batched = false;
-      if (count == lane_width) {
-        std::vector<sim::Circuit> circuits;
-        circuits.reserve(count);
-        for (std::size_t k = 0; k < count; ++k)
-          circuits.push_back(sim::build_gate_line_load(
-              spec.at(order[begin + k]).system, options.segments));
-        sim::TransientOptions transient;
-        transient.t_stop = options.t_stop;
-        transient.dt = options.dt;
-        transient.solver = options.solver;
-        transient.reuse = &reuse[worker];
-        const auto crossings = sim::run_batched_crossings(
-            circuits, "out", 0.5, transient, "SweepEngine transient_delay");
-        if (crossings) {
-          for (std::size_t k = 0; k < count; ++k)
-            out.values[order[begin + k]] = (*crossings)[k];
-          batched = true;
-        }
-      }
-      // Remainder tiles (grid size not divisible by the lane width) and
-      // ineligible batches evaluate scalar, point by point — bit-identical
-      // to the batch by the batched-solver contract.
-      if (!batched) {
-        for (std::size_t k = 0; k < count; ++k)
-          out.values[order[begin + k]] =
-              evaluate_point(spec.at(order[begin + k]), analysis, options,
-                             &reuse[worker]);
-      }
-      (batched ? batched_points : scalar_points).fetch_add(count);
-      symbolic.fetch_add(numeric::sparse_lu_stats().symbolic - before);
-      ejected.fetch_add(numeric::sparse_lu_stats().ejected_lanes - ejected_before);
-    });
-    out.batched_points = batched_points.load();
-    out.scalar_points = scalar_points.load();
-    Impl::finalize(out, n, reuse, symbolic, ejected, started);
-    return out;
-  }
+  SweepResult out;
+  out.threads_used = impl_->pool.size();
+  out.values.assign(n, kNaN);
 
-  scalar_points += n - first;  // the non-tiled path is scalar point by point
-  impl_->pool.parallel_for(n - first, [&](std::size_t i, std::size_t worker) {
-    OBS_SPAN("sweep.point");
-    const std::size_t flat = i + first;
-    const Scenario scenario = spec.at(flat);
-    // A point whose reduction_order differs from the basis's build order
-    // cannot ride the projection (the basis FIXES q) — it gets a fresh
-    // per-point reduction at its own order, like structural mismatches do.
-    const bool point_projects =
-        project && scenario.xtalk.reduction_order == basis_order;
-    if (point_projects) OBS_COUNTER_ADD("reuse.projection_points", 1);
-    const std::size_t before = numeric::sparse_lu_stats().symbolic;
-    out.values[flat] = evaluate_point(scenario, analysis, options,
-                                      seeded ? &reuse[worker] : nullptr,
-                                      point_projects ? &basis : nullptr);
-    symbolic.fetch_add(numeric::sparse_lu_stats().symbolic - before);
+  // Reference evaluation of point 0 on the calling thread: it records the
+  // shared MNA pattern and the symbolic factorizations (transient system
+  // and DC, or the G of moment generation) every worker replays. Seeding
+  // all workers from ONE donor is what makes results bit-identical at
+  // every thread count: the recorded pivot order, not the schedule,
+  // determines every numeric factorization. Analyses that factor nothing
+  // leave the record empty. Basis-reuse sweeps also build their ONE
+  // Arnoldi projection here; later points re-project onto it.
+  const bool project = options.reuse_projection &&
+                       (analysis == Analysis::kReducedDelay ||
+                        analysis == Analysis::kReducedNoise);
+  const Scenario nominal = spec.at(0);
+  const int basis_order = nominal.xtalk.reduction_order;
+  mor::ArnoldiBasis basis;
+  sim::SolverReuse reference;
+  const numeric::SparseLuStats before = numeric::sparse_lu_stats();
+  if (project)
+    basis = core::crosstalk_projection_basis(
+        scenario_bus(nominal), nominal.xtalk.pattern,
+        scenario_crosstalk_options(nominal, options, &reference), basis_order);
+  out.values[0] = evaluate_point(nominal, analysis, options, &reference,
+                                 project ? &basis : nullptr);
+  std::atomic<std::size_t> symbolic{numeric::sparse_lu_stats().symbolic -
+                                    before.symbolic};
+  std::atomic<std::size_t> ejected{0};
+  std::atomic<std::size_t> batched_points{0};
+  std::vector<sim::SolverReuse> reuse(impl_->pool.size(), reference);
+
+  // Points 1..n-1 in units: grid order at W = 1, eq. 9 order for tiles.
+  std::vector<std::size_t> order(n - 1);
+  std::iota(order.begin(), order.end(), std::size_t{1});
+  if (lane_width > 1) sort_by_closed_form_delay(spec, options, order);
+  const std::size_t units = (order.size() + lane_width - 1) / lane_width;
+  impl_->pool.parallel_for(units, [&](std::size_t unit, std::size_t worker) {
+    OBS_SPAN(lane_width > 1 ? "sweep.tile" : "sweep.point");
+    const std::size_t* points = order.data() + unit * lane_width;
+    const std::size_t count = std::min(lane_width, order.size() - unit * lane_width);
+    const numeric::SparseLuStats unit_before = numeric::sparse_lu_stats();
+    // A full tile tries the batch; the remainder tile (grid size not
+    // divisible by W), a declined batch and every W = 1 unit evaluate point
+    // by point, bit-identical to the batch by the batched-solver contract.
+    std::optional<std::vector<double>> crossings;
+    if (lane_width > 1 && count == lane_width) {
+      std::vector<sim::Circuit> circuits;
+      circuits.reserve(count);
+      for (std::size_t k = 0; k < count; ++k)
+        circuits.push_back(
+            sim::build_gate_line_load(spec.at(points[k]).system, options.segments));
+      // Any scenario gives the tile's options: its horizon is the explicit
+      // t_stop.
+      crossings = sim::run_batched_crossings(
+          circuits, "out", 0.5, transient_options(nominal, options, &reuse[worker]),
+          kTransientContext);
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+      if (crossings) {
+        out.values[points[k]] = (*crossings)[k];
+        continue;
+      }
+      const Scenario scenario = spec.at(points[k]);
+      // A point whose reduction_order differs from the basis's build order
+      // cannot ride the projection (the basis FIXES q): it gets a fresh
+      // per-point reduction at its own order, like structural mismatches.
+      const bool point_projects =
+          project && scenario.xtalk.reduction_order == basis_order;
+      if (point_projects) OBS_COUNTER_ADD("reuse.projection_points", 1);
+      out.values[points[k]] = evaluate_point(scenario, analysis, options,
+                                             &reuse[worker],
+                                             point_projects ? &basis : nullptr);
+    }
+    if (crossings) batched_points.fetch_add(count);
+    const numeric::SparseLuStats unit_after = numeric::sparse_lu_stats();
+    symbolic.fetch_add(unit_after.symbolic - unit_before.symbolic);
+    ejected.fetch_add(unit_after.ejected_lanes - unit_before.ejected_lanes);
   });
 
   out.batched_points = batched_points.load();
-  out.scalar_points = scalar_points.load();
-  Impl::finalize(out, n, reuse, symbolic, ejected, started);
+  out.scalar_points = n - out.batched_points;
+  Impl::finalize(out, reuse, symbolic.load(), ejected.load(), started);
   return out;
 }
 
@@ -608,7 +563,6 @@ SweepResult SweepEngine::run_custom(
   out.threads_used = impl_->pool.size();
   out.values.assign(n, kNaN);
   std::atomic<std::size_t> symbolic{0};
-  std::atomic<std::size_t> ejected{0};
   std::vector<sim::SolverReuse> reuse(impl_->pool.size());
 
   impl_->pool.parallel_for(n, [&](std::size_t i, std::size_t worker) {
@@ -620,7 +574,7 @@ SweepResult SweepEngine::run_custom(
   });
 
   out.scalar_points = n;  // custom evaluators never batch
-  Impl::finalize(out, n, reuse, symbolic, ejected, started);
+  Impl::finalize(out, reuse, symbolic.load(), 0, started);
   return out;
 }
 

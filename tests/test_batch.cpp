@@ -43,9 +43,10 @@ using numeric::SparseLuBatch;
 void expect_bits_equal(const std::vector<double>& a,
                        const std::vector<double>& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
-  if (!a.empty())
+  if (!a.empty()) {
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
         << what;
+  }
 }
 
 // Deterministic random diagonally-bumped sparse system (the ladder-like
@@ -140,15 +141,13 @@ TEST(SparseLuBatchTest, BitIdenticalToScalarLanes) {
 // the scalar path alone (scalar refactor re-pivots there), leaving every
 // other lane batched — and the stats must account for all of it.
 TEST(SparseLuBatchTest, ZeroPivotLaneEjectsIndividually) {
-  // [[5, 1], [1, 1]] without RCM: |5| > |1| makes row 0 the recorded first
-  // pivot unambiguously, so a lane with a00 = 0 hits an exactly-zero stale
-  // pivot — while its matrix [[0, 1], [1, 1]] stays nonsingular for the
-  // re-pivoting scalar fallback.
+  // [[5, 1], [1, 1]] (2 unknowns: no RCM): |5| > |1| makes row 0 the
+  // recorded first pivot unambiguously, so a lane with a00 = 0 hits an
+  // exactly-zero stale pivot — while its matrix [[0, 1], [1, 1]] stays
+  // nonsingular for the re-pivoting scalar fallback.
   const RealSparse donor_matrix(
       2, {{0, 0, 5.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 1.0}});
-  RealSparseLu::Options no_reorder;
-  no_reorder.reorder = false;
-  const RealSparseLu donor(donor_matrix, no_reorder);
+  const RealSparseLu donor(donor_matrix);
   const std::size_t lanes = 4;
 
   std::vector<std::vector<double>> lane_values(lanes, donor_matrix.values());
@@ -159,7 +158,7 @@ TEST(SparseLuBatchTest, ZeroPivotLaneEjectsIndividually) {
   BatchedValues values(static_cast<std::size_t>(donor_matrix.nnz()), lanes);
   for (std::size_t w = 0; w < lanes; ++w) values.set_lane(w, lane_values[w]);
 
-  numeric::sparse_lu_stats() = {};
+  const numeric::SparseLuStats before = numeric::sparse_lu_stats();
   SparseLuBatch batch(donor, lanes);
   batch.refactor(values);
   EXPECT_EQ(batch.ejected_lane_count(), 1u);
@@ -167,9 +166,10 @@ TEST(SparseLuBatchTest, ZeroPivotLaneEjectsIndividually) {
   EXPECT_TRUE(batch.lane_ejected(2));
   // 3 batched numeric passes + the ejected lane's full scalar
   // refactorization (1 symbolic + 1 numeric).
-  EXPECT_EQ(numeric::sparse_lu_stats().ejected_lanes, 1u);
-  EXPECT_EQ(numeric::sparse_lu_stats().symbolic, 1u);
-  EXPECT_EQ(numeric::sparse_lu_stats().numeric, lanes);
+  const numeric::SparseLuStats after = numeric::sparse_lu_stats();
+  EXPECT_EQ(after.ejected_lanes - before.ejected_lanes, 1u);
+  EXPECT_EQ(after.symbolic - before.symbolic, 1u);
+  EXPECT_EQ(after.numeric - before.numeric, lanes);
 
   BatchedValues rhs(2, lanes);
   const std::vector<double> b{1.0, 2.0};
@@ -447,6 +447,24 @@ TEST(BatchIneligible, UnseededReuseCountsItsReason) {
             obs::metrics_enabled() ? 1u : 0u);
 }
 
+// The option reason covers the two settable step options: a missing
+// horizon and a dt no shorter than it. The scalar run throws for both.
+TEST(BatchIneligible, OptionsCountTheirReason) {
+  const tline::GateLineLoad system{500.0, {1000.0, 1e-7, 1e-12}, 0.5e-12};
+  const std::vector<sim::Circuit> tile(4, sim::build_gate_line_load(system, 25));
+  sim::TransientOptions no_horizon;
+  sim::TransientOptions long_step;
+  long_step.t_stop = 1e-9;
+  long_step.dt = 1e-9;
+  for (const sim::TransientOptions& options : {no_horizon, long_step}) {
+    const std::uint64_t before = ineligible_count("batch.ineligible.options");
+    EXPECT_FALSE(sim::run_batched_crossings(tile, "out", 0.5, options, "options"));
+    EXPECT_EQ(ineligible_count("batch.ineligible.options") - before,
+              obs::metrics_enabled() ? 1u : 0u);
+    EXPECT_THROW((void)sim::run_transient(tile[0], options), std::invalid_argument);
+  }
+}
+
 TEST(BatchIneligible, BuffersCountTheirReason) {
   const tline::GateLineLoad system{500.0, {1000.0, 1e-7, 1e-12}, 0.5e-12};
   sim::SolverReuse reuse;
@@ -694,24 +712,18 @@ TEST(ZeroCouplingPattern, StructuralStampsKeepOnePattern) {
   const auto bus_of = [&](double cc_ratio) {
     return tline::make_bus(2, line, cc_ratio, 0.0);
   };
-  const auto circuit_of = [&](double cc_ratio, sim::StampOptions stamp) {
+  const auto circuit_of = [&](double cc_ratio) {
     sim::Circuit c;
     c.add_resistor("in0", "0", 50.0, "g0");
     c.add_resistor("in1", "0", 50.0, "g1");
     sim::add_coupled_bus(c, "bus", {"in0", "in1"}, {"out0", "out1"},
-                         bus_of(cc_ratio), 6, stamp);
+                         bus_of(cc_ratio), 6);
     return c;
   };
-  const sim::MnaAssembler zero(circuit_of(0.0, {}));
-  const sim::MnaAssembler coupled(circuit_of(0.5, {}));
+  const sim::MnaAssembler zero(circuit_of(0.0));
+  const sim::MnaAssembler coupled(circuit_of(0.5));
   EXPECT_EQ(zero.system_pattern()->row_ptr, coupled.system_pattern()->row_ptr);
   EXPECT_EQ(zero.system_pattern()->col_idx, coupled.system_pattern()->col_idx);
-
-  // The escape hatch restores the value-dependent (pruned) pattern.
-  sim::StampOptions prune;
-  prune.prune_zeros = true;
-  const sim::MnaAssembler pruned(circuit_of(0.0, prune));
-  EXPECT_LT(pruned.system_pattern()->nnz(), zero.system_pattern()->nnz());
 }
 
 // The acceptance regression: a coupling axis whose range INCLUDES 0 stays

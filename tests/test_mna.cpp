@@ -86,20 +86,32 @@ TEST(TransientMatrix, CapacitorCompanionConductance) {
 }
 
 TEST(InitialState, TransientStartsFromTheDcSolution) {
-  // DC: 3 V across 3 ohm, 1 A through the inductor. A transient started
-  // from that state (node voltages, inductor current, zero capacitor
-  // history) stays there; a wrong inductor current would ring.
-  Circuit c;
-  c.add_voltage_source("in", "0", DcSpec{3.0});
-  c.add_inductor("in", "out", 1e-9);
-  c.add_resistor("out", "0", 3.0);
-  c.add_capacitor("out", "0", 1e-12);
-  TransientOptions opt;
-  opt.t_stop = 1e-9;
-  const TransientResult r = run_transient(c, opt);
-  EXPECT_DOUBLE_EQ(r.waveforms.time().front(), 0.0);
-  const std::vector<double> out = r.waveforms.trace("out").value();
-  for (const double v : out) EXPECT_NEAR(v, 3.0, 1e-6);
+  // A transient starts from the DC operating point and, with DC sources
+  // only, stays there. An RL branch: 3 V across 3 ohm, 1 A through the
+  // inductor (a wrong inductor current or capacitor history would ring).
+  Circuit rl;
+  rl.add_voltage_source("in", "0", DcSpec{3.0});
+  rl.add_inductor("in", "out", 1e-9);
+  rl.add_resistor("out", "0", 3.0);
+  rl.add_capacitor("out", "0", 1e-12);
+  // A hand-analysis divider: 9 V over 1k + 2k puts node a at 6 V.
+  Circuit divider;
+  divider.add_voltage_source("in", "0", DcSpec{9.0});
+  divider.add_resistor("in", "a", 1000.0);
+  divider.add_resistor("a", "0", 2000.0);
+  const struct {
+    const Circuit& circuit;
+    const char* node;
+    double volts;
+  } cases[] = {{rl, "out", 3.0}, {divider, "a", 6.0}};
+  for (const auto& c : cases) {
+    TransientOptions opt;
+    opt.t_stop = 1e-9;
+    const TransientResult r = run_transient(c.circuit, opt);
+    EXPECT_DOUBLE_EQ(r.waveforms.time().front(), 0.0);
+    const std::vector<double> trace = r.waveforms.trace(c.node).value();
+    for (const double v : trace) EXPECT_NEAR(v, c.volts, 1e-6) << c.node;
+  }
 }
 
 TEST(BufferDrive, SwitchesAtFireTime) {

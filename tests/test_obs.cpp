@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "numeric/sparse.h"
 #include "obs/obs.h"
 #include "runtime/thread_pool.h"
 
@@ -290,30 +289,6 @@ TEST(ObsPool, TasksExecutedSumsToTasksSubmitted) {
                                  counter_of(before, "pool.tasks_executed");
   EXPECT_EQ(submitted, executed);
   EXPECT_GE(submitted, 64u + 64u * 4u);
-}
-
-// --------------------------------------------- legacy stats view semantics
-
-TEST(ObsLuStats, ViewCopiesFreezeAndLiveViewTracks) {
-  numeric::SparseLuStatsView& live = numeric::sparse_lu_stats();
-  live = {};  // reset: stores a frozen zero snapshot into this thread's cells
-  EXPECT_EQ(static_cast<std::size_t>(live.symbolic), 0u);
-
-  const numeric::SparseLuStatsView frozen_at_zero = live;
-  ++live.symbolic;
-  live.numeric += 2;
-
-  // The copy froze at the values it was taken at; the live view moved on.
-  EXPECT_EQ(static_cast<std::size_t>(frozen_at_zero.symbolic), 0u);
-  EXPECT_EQ(static_cast<std::size_t>(live.symbolic), 1u);
-  EXPECT_EQ(static_cast<std::size_t>(live.numeric), 2u);
-
-  // Conversion to the plain value struct snapshots the same numbers.
-  const numeric::SparseLuStats value = live;
-  EXPECT_EQ(value.symbolic, 1u);
-  EXPECT_EQ(value.numeric, 2u);
-  EXPECT_EQ(value.ejected_lanes, 0u);
-  live = {};
 }
 
 }  // namespace

@@ -127,13 +127,13 @@ TEST(TransientCache, SharesOneSymbolicAcrossDtAndIntegratorKeys) {
   options.dt = 1e-12;
   options.solver = SolverKind::kSparse;
 
-  numeric::sparse_lu_stats() = {};
+  const std::size_t before = numeric::sparse_lu_stats().symbolic;
   const auto result = run_transient(circuit, options);
   EXPECT_TRUE(result.used_sparse_solver);
   EXPECT_GE(result.lu_factorizations, 2u);  // BE + trapezoidal at least
   // One symbolic for the DC operating point (different pattern) plus one for
   // the whole transient system — never one per cache key.
-  EXPECT_EQ(numeric::sparse_lu_stats().symbolic, 2u);
+  EXPECT_EQ(numeric::sparse_lu_stats().symbolic - before, 2u);
 }
 
 TEST(TransientCache, UlpDifferentClippedStepsShareAFactorization) {
@@ -214,19 +214,6 @@ TEST(Breakpoints, PathologicalCycleCountThrowsInsteadOfExhaustingMemory) {
   std::set<double> bp;
   EXPECT_THROW(collect_source_breakpoints(SourceSpec{pulse}, 1.0, bp),
                std::invalid_argument);
-}
-
-TEST(Transient, MinDtFractionValidation) {
-  Circuit circuit;
-  circuit.add_voltage_source("in", "0", StepSpec{0.0, 1.0, 0.0, 0.0});
-  circuit.add_resistor("in", "out", 100.0);
-  circuit.add_capacitor("out", "0", 1e-12);
-  TransientOptions options;
-  options.t_stop = 1e-9;
-  options.min_dt_fraction = 0.0;  // would make the dt quantum degenerate
-  EXPECT_THROW(run_transient(circuit, options), std::invalid_argument);
-  options.min_dt_fraction = 2.0;
-  EXPECT_THROW(run_transient(circuit, options), std::invalid_argument);
 }
 
 TEST(Transient, PulseDrivenLadderSparseMatchesDense) {

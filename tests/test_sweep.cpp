@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -133,6 +135,69 @@ TEST(SweepEngine, TransientMatchesDirectSimulation) {
     const double direct =
         sim::simulate_gate_line_delay(spec.at(i).system, options.segments);
     EXPECT_NEAR(result.values[i], direct, 1e-9 * direct) << "point " << i;
+  }
+}
+
+// Every analysis goes through run()'s one unit loop: seeded from point 0,
+// W = 1 units in grid order, W = 8 tiles (a full one and a remainder) for
+// transients on an explicit horizon. Each sweep is memcmp-equal at 1 and
+// 3 threads and accounts every point as batched or scalar.
+TEST(SweepEngine, EveryAnalysisIsThreadCountIdenticalAndFullyAccounted) {
+  sweep::SweepSpec spec;
+  spec.base.system = {500.0, {1000.0, 1e-7, 1e-12}, 0.5e-12};
+  spec.base.buffer = {3000.0, 5e-15, 1.0, 0.0};
+  spec.base.design = {32.0, 4.0};
+  spec.base.xtalk.cc_ratio = 0.2;
+  spec.base.xtalk.lm_ratio = 0.2;
+  spec.base.xtalk.pattern = core::SwitchingPattern::kSamePhase;
+  spec.axes = {
+      sweep::values(sweep::Variable::kDriverResistance, {200.0, 500.0, 900.0}),
+      sweep::values(sweep::Variable::kLoadCapacitance,
+                    {0.1e-12, 0.3e-12, 0.6e-12, 1e-12}),
+  };
+  const std::size_t n = spec.size();  // 12: one 8-lane tile + 3 remainder
+
+  struct Case {
+    sweep::Analysis analysis;
+    bool reuse_projection = false;
+    std::size_t lanes = 0;  // with an explicit t_stop when nonzero
+  };
+  std::vector<Case> cases;
+  for (int a = 0; a <= static_cast<int>(sweep::Analysis::kBusRepeaterNoise); ++a)
+    cases.push_back({static_cast<sweep::Analysis>(a)});
+  cases.push_back({sweep::Analysis::kReducedDelay, true});
+  cases.push_back({sweep::Analysis::kTransientDelay, false, 1});
+  cases.push_back({sweep::Analysis::kTransientDelay, false, 8});
+
+  std::vector<double> tiled;  // the lanes = 8 values, against lanes = 1
+  for (const Case& c : cases) {
+    const std::string name = std::string(sweep::analysis_name(c.analysis)) +
+                             (c.reuse_projection ? " projected" : "") +
+                             (c.lanes ? " lanes " + std::to_string(c.lanes) : "");
+    std::vector<sweep::SweepResult> results;
+    for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      sweep::EngineOptions options = engine_options(threads);
+      options.reuse_projection = c.reuse_projection;
+      if (c.lanes != 0) {
+        options.lanes = c.lanes;
+        options.t_stop = 5e-9;
+      }
+      results.push_back(sweep::SweepEngine(options).run(spec, c.analysis));
+      const sweep::SweepResult& r = results.back();
+      ASSERT_EQ(r.values.size(), n) << name;
+      EXPECT_EQ(r.batched_points + r.scalar_points, n) << name;
+      EXPECT_EQ(r.batched_points, c.lanes == 8 ? 8u : 0u) << name;
+    }
+    EXPECT_EQ(std::memcmp(results[0].values.data(), results[1].values.data(),
+                          n * sizeof(double)),
+              0)
+        << name << ": 1 vs 3 threads";
+    if (c.lanes == 1) tiled = results[0].values;
+    if (c.lanes == 8) {
+      EXPECT_EQ(std::memcmp(tiled.data(), results[0].values.data(), n * sizeof(double)),
+                0)
+          << "lanes 8 vs lanes 1";
+    }
   }
 }
 
