@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <variant>
 #include <vector>
@@ -172,8 +173,20 @@ const char* switching_pattern_name(SwitchingPattern pattern) {
 
 CrosstalkMetrics analyze_crosstalk(const tline::CoupledBus& bus,
                                    SwitchingPattern pattern,
-                                   const CrosstalkOptions& options) {
+                                   const CrosstalkOptions& options,
+                                   sim::CrossingWindow window) {
   validate_options(bus, options, "analyze_crosstalk");
+
+  const bool victim_switches = pattern != SwitchingPattern::kQuietVictim;
+  const bool scan_noise = window == sim::CrossingWindow::kFullWindow;
+  CrosstalkMetrics metrics;
+  // A run that stops at the crossing never sees the rest of the window, so
+  // its noise is not measured; a quiet victim has no crossing either, so
+  // such a run has nothing to simulate.
+  if (!scan_noise) {
+    metrics.peak_noise = std::numeric_limits<double>::quiet_NaN();
+    if (!victim_switches) return metrics;
+  }
 
   const int victim_line = bus.victim_index();
   const tline::GateLineLoad isolated{options.driver_resistance,
@@ -182,7 +195,6 @@ CrosstalkMetrics analyze_crosstalk(const tline::CoupledBus& bus,
   const sim::Circuit circuit = build_pattern_bus(bus, pattern, options);
   const std::string victim_node =
       "line" + std::to_string(victim_line) + ".out";
-  const bool victim_switches = pattern != SwitchingPattern::kQuietVictim;
 
   sim::TransientOptions transient;
   transient.t_stop = options.t_stop > 0.0
@@ -192,7 +204,6 @@ CrosstalkMetrics analyze_crosstalk(const tline::CoupledBus& bus,
   transient.solver = options.solver;
   transient.reuse = options.reuse;
 
-  CrosstalkMetrics metrics;
   sim::Trace victim;
   if (victim_switches) {
     // The push-out reference; computed only when a push-out exists, absent
@@ -200,15 +211,15 @@ CrosstalkMetrics analyze_crosstalk(const tline::CoupledBus& bus,
     metrics.isolated_delay_two_pole = isolated_two_pole_delay(isolated);
     // The Miller-degraded corner can be much slower than the isolated
     // estimate the horizon comes from; run_until_crossing auto-extends. The
-    // noise scan below reads the whole window, so the run does not stop at
-    // the crossing.
+    // crossing is the same bits in either window.
     sim::DelayRun run = sim::run_until_crossing(
         circuit, victim_node, 0.5 * options.vdd, transient, "analyze_crosstalk",
-        sim::CrossingWindow::kFullWindow);
-    victim = run.result.waveforms.trace(victim_node);
+        window);
     metrics.victim_delay_50 = run.crossing;
     if (metrics.isolated_delay_two_pole)
       metrics.delay_pushout = run.crossing - *metrics.isolated_delay_two_pole;
+    if (!scan_noise) return metrics;
+    victim = run.result.waveforms.trace(victim_node);
   } else {
     victim = sim::run_transient(circuit, transient).waveforms.trace(victim_node);
   }

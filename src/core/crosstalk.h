@@ -88,6 +88,8 @@ bool is_shield_line(int line, int victim, int shield_every);
 
 // All metrics come from ONE transient of the given pattern. Optional fields
 // are absent — never 0 — when the pattern (or numerics) does not define them.
+// peak_noise is NaN when the run did not measure it (a run that stopped at
+// the victim's crossing, see analyze_crosstalk).
 struct CrosstalkMetrics {
   // First 50% crossing of the victim's far end; absent for kQuietVictim
   // (a quiet victim never switches).
@@ -97,7 +99,9 @@ struct CrosstalkMetrics {
   // Peak victim far-end excursion OUTSIDE its drive envelope [v(0), v(inf)],
   // volts: for a quiet victim this is the classic peak crosstalk noise; for
   // a switching victim it is over/undershoot beyond the rails (which
-  // includes the line's own inductive ringing).
+  // includes the line's own inductive ringing). NaN — not measured — when
+  // the run stopped at the crossing (CrossingWindow::kStopAtCrossing): it
+  // is never a number scanned from a truncated window.
   double peak_noise = 0.0;
   // Isolated-line 50% delay of the two-pole model for the same driver, line
   // and load — the push-out reference. Absent for kQuietVictim (no push-out
@@ -106,12 +110,23 @@ struct CrosstalkMetrics {
   std::optional<double> isolated_delay_two_pole;
 };
 
-// Simulates the bus under `pattern` and measures the victim. Throws
-// std::invalid_argument for invalid bus/options and std::runtime_error if a
-// switching victim never crosses 50% within the (auto-extended) horizon.
-CrosstalkMetrics analyze_crosstalk(const tline::CoupledBus& bus,
-                                   SwitchingPattern pattern,
-                                   const CrosstalkOptions& options);
+// Simulates the bus under `pattern` and measures the victim. The victim
+// transient is a probe run of the victim's far end (sim::run_until_crossing)
+// whose `window` says how much of it is measured:
+//  * kFullWindow (the default) steps the whole window, records every node
+//    and scans it for peak_noise; every metric is filled in.
+//  * kStopAtCrossing records the victim alone and stops at the step that
+//    brackets its 50% crossing: the delay, push-out and isolated reference
+//    are the kFullWindow values bit for bit, and peak_noise is NaN (not
+//    measured). A quiet victim has no crossing, so nothing is simulated:
+//    every optional metric is absent and peak_noise is NaN.
+// Throws std::invalid_argument for invalid bus/options (in either window)
+// and std::runtime_error if a switching victim never crosses 50% within the
+// (auto-extended) horizon.
+CrosstalkMetrics analyze_crosstalk(
+    const tline::CoupledBus& bus, SwitchingPattern pattern,
+    const CrosstalkOptions& options,
+    sim::CrossingWindow window = sim::CrossingWindow::kFullWindow);
 
 // Reduced-order ANALYTIC variant of analyze_crosstalk: builds the identical
 // bus circuit, AWE-reduces every (victim, switching driver) transfer to

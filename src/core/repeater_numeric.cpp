@@ -1,5 +1,6 @@
 #include "core/repeater_numeric.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -9,11 +10,17 @@
 namespace rlcsim::core {
 namespace {
 
-// Objective with domain guard: +inf outside h > 0, k > 0.
+// The domain of a design: h > 0 and k > 0, with k_min itself a feasible
+// section count (the constrained optimum of a line whose unconstrained k
+// falls below k_min sits exactly there).
+bool feasible(double h, double k, double k_min) {
+  return h > 1e-6 && k > 1e-6 && k >= k_min;
+}
+
+// Objective with domain guard: +inf outside the feasible domain.
 double guarded_delay(const tline::LineParams& line, const MinBuffer& buffer, double h,
                      double k, double k_min, const DelayFitConstants& fit) {
-  if (!(h > 1e-6) || !(k > std::max(1e-6, k_min)))
-    return std::numeric_limits<double>::infinity();
+  if (!feasible(h, k, k_min)) return std::numeric_limits<double>::infinity();
   return total_delay(line, buffer, {h, k}, fit);
 }
 
@@ -48,8 +55,7 @@ numeric::MinimumND batched_grid_refine(
     for (std::size_t c = 0; c < candidates.size(); ++c) {
       double d = delays[c];
       // Re-apply the domain guard the serial objective enforces.
-      if (!(candidates[c].size > 1e-6) ||
-          !(candidates[c].sections > std::max(1e-6, k_min)))
+      if (!feasible(candidates[c].size, candidates[c].sections, k_min))
         d = std::numeric_limits<double>::infinity();
       if (d < val) {
         val = d;
@@ -86,17 +92,18 @@ RepeaterDesign minimize_design(const tline::LineParams& line, const MinBuffer& b
   };
 
   // Inductance only ever shrinks the optimum relative to the RC solution
-  // (h', k' <= 1), but search a generous box around the seed anyway.
+  // (h', k' <= 1), but search a generous box around the seed anyway. A
+  // seed below k_min (a short, resistive line behind a weak buffer) would
+  // leave the k range empty; the range then opens upward from k_min.
+  const double k_lo = std::max(k_min, 0.02 * seed.sections);
+  const double k_hi = std::max(1.6 * seed.sections, 1.6 * k_lo);
   const auto coarse =
       batch ? batched_grid_refine(line, buffer, fit, batch, k_min, 0.02 * seed.size,
-                                  1.6 * seed.size,
-                                  std::max(k_min, 0.02 * seed.sections),
-                                  1.6 * seed.sections,
+                                  1.6 * seed.size, k_lo, k_hi,
                                   /*grid_points=*/28, /*refinements=*/10)
-            : numeric::grid_refine_2d(
-                  objective, 0.02 * seed.size, 1.6 * seed.size,
-                  std::max(k_min, 0.02 * seed.sections), 1.6 * seed.sections,
-                  /*grid_points=*/28, /*refinements=*/10);
+            : numeric::grid_refine_2d(objective, 0.02 * seed.size, 1.6 * seed.size,
+                                      k_lo, k_hi,
+                                      /*grid_points=*/28, /*refinements=*/10);
 
   const auto polished = numeric::nelder_mead(
       [&](const std::vector<double>& x) { return objective(x[0], x[1]); },

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/obs.h"
+
 namespace rlcsim::mor {
 
 LinearSystem make_linear_system(const sim::MnaAssembler& mna,
@@ -63,11 +65,13 @@ MomentGenerator::MomentGenerator(const LinearSystem& system,
     : MomentGenerator(system.G, system.C, reuse) {}
 
 std::vector<double> MomentGenerator::solve(const std::vector<double>& b) const {
+  OBS_COUNTER_ADD("lu.solves", 1);
   return lu_->solve(b);
 }
 
 void MomentGenerator::advance(std::vector<double>& m) const {
   scratch_ = c_.multiply(m);
+  OBS_COUNTER_ADD("lu.solves", 1);
   lu_->solve_in_place(scratch_);
   for (std::size_t i = 0; i < scratch_.size(); ++i) m[i] = -scratch_[i];
 }

@@ -464,7 +464,6 @@ template <typename T>
 void SparseLu<T>::solve_in_place(std::vector<T>& x) const {
   if (x.size() != static_cast<std::size_t>(n_))
     throw std::invalid_argument("SparseLu::solve: rhs size mismatch");
-  OBS_COUNTER_ADD("lu.solves", 1);
   std::vector<T>& w = work_;
 
   // A2 = A(perm,perm) and P2 A2 = L U, so w = P2 * (b permuted by perm).

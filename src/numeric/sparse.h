@@ -169,7 +169,9 @@ class SparseLu {
 
   std::vector<T> solve(const std::vector<T>& b) const;
   // In-place variant for hot loops (no allocation beyond an internal
-  // workspace reused across calls).
+  // workspace reused across calls). Counts nothing: callers count their
+  // solves under the obs counter "lu.solves", a transient run or an AC
+  // sweep once for all of its solves.
   void solve_in_place(std::vector<T>& x) const;
 
   // Fill statistics (L + U stored entries, including both diagonals).

@@ -291,6 +291,7 @@ void SparseLuBatch::solve_in_place(BatchedValues& x) const {
       scalar_[lane]->solve_in_place(scalar_work_);
       scalar_solutions.emplace_back(lane, scalar_work_);
     }
+    OBS_COUNTER_ADD("lu.solves", scalar_solutions.size());
   }
 
   switch (lanes_) {

@@ -9,6 +9,7 @@
 #include "numeric/matrix.h"
 #include "numeric/roots.h"
 #include "numeric/sparse.h"
+#include "obs/obs.h"
 
 namespace rlcsim::sim {
 namespace {
@@ -67,6 +68,7 @@ std::vector<AcSample> ac_transfer(const Circuit& circuit,
 
   std::vector<AcSample> out;
   out.reserve(frequencies.size());
+  std::size_t sparse_solves = 0;  // counted under lu.solves once per sweep
   for (double f : frequencies) {
     if (!(f >= 0.0)) throw std::invalid_argument("ac_transfer: negative frequency");
     const Complex s(0.0, 2.0 * std::numbers::pi * f);
@@ -76,6 +78,7 @@ std::vector<AcSample> ac_transfer(const Circuit& circuit,
     if (sparse) {
       lu->refactor(a);
       x = lu->solve(rhs);
+      ++sparse_solves;
       // The pivot order is reused across the whole sweep. Iterative
       // refinement through the existing factors recovers full accuracy at
       // O(nnz) per pass without any new factorization; a fresh re-pivot
@@ -99,11 +102,13 @@ std::vector<AcSample> ac_transfer(const Circuit& circuit,
         }
         if (res_norm <= 1e-13 * floor_scale || pass == 3) break;
         lu->solve_in_place(r);
+        ++sparse_solves;
         for (std::size_t i = 0; i < n; ++i) x[i] -= r[i];
       }
       if (res_norm > 1e-6 * floor_scale) {
         lu.emplace(a);
         x = lu->solve(rhs);
+        ++sparse_solves;
       }
     } else {
       x = numeric::ComplexLu(a.to_dense()).solve(rhs);
@@ -112,6 +117,7 @@ std::vector<AcSample> ac_transfer(const Circuit& circuit,
     out.push_back({f, x[static_cast<std::size_t>(*node_id)]});
   }
 
+  if (sparse_solves != 0) OBS_COUNTER_ADD("lu.solves", sparse_solves);
   if (sparse) {
     const numeric::SparseLuStats global_after = numeric::sparse_lu_stats();
     stats.symbolic_factorizations = global_after.symbolic - global_before.symbolic;

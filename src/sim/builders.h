@@ -78,9 +78,11 @@ double default_transient_horizon(const tline::GateLineLoad& system);
 // kMaxHorizonExtensions times (4x/16x/64x); throws std::runtime_error
 // prefixed with `context` if it never crosses. The shared auto-extend
 // policy of every delay-measuring entry point. kStopAtCrossing (delay-only
-// callers) records `node` alone and stops at the step that brackets the
-// crossing; kFullWindow (callers that also scan the waveform) records every
-// node to the end of the window, extended or not, that holds the crossing.
+// callers, core::analyze_crosstalk among them when no noise is wanted)
+// records `node` alone and stops at the step that brackets the crossing;
+// kFullWindow (callers that also scan the waveform: analyze_crosstalk for
+// its noise, repbus::simulate_bus_chain) records every node to the end of
+// the window, extended or not, that holds the crossing.
 struct DelayRun {
   TransientResult result;
   double crossing = 0.0;  // s

@@ -181,6 +181,8 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
   OBS_COUNTER_ADD("transient.steps", run.steps);
   OBS_COUNTER_ADD("cache.lu_dt.hits", run.lu_hits);
   OBS_COUNTER_ADD("cache.lu_dt.misses", run.lu_misses);
+  // Every step solve (rejected ones included) is one cache hit or miss.
+  if (use_sparse) OBS_COUNTER_ADD("lu.solves", 1 + run.lu_hits + run.lu_misses);
   TransientResult result;
   result.waveforms = WaveformSet(std::move(times), std::move(node_values));
   result.buffer_fire_times = std::move(run.buffer_fire_times);

@@ -39,12 +39,17 @@
 // step that brackets the crossing (the recorded prefix is the full record's
 // prefix sample for sample, so the crossing is the one a full-window run
 // reports, bit for bit); kFullWindow records every node over the whole
-// window, as a run without a probe does. A probe that has not crossed when
-// the window ends extends the horizon: the run keeps stepping from where it
-// is, at the same dt, out to 4x the previous horizon, at most
-// kMaxHorizonExtensions times (each counted under the obs counter
-// transient.horizon_extensions). An extended run takes the steps a single
-// run at the final horizon and the same dt takes.
+// window, as a run without a probe does. Delay-only callers stop at the
+// crossing: sweep kTransientDelay, simulate_gate_line_delay,
+// simulate_repeater_chain_delay and the crosstalk delay and push-out
+// sweeps. Callers that also scan the waveform run the full window:
+// core::analyze_crosstalk when its noise is wanted (its default),
+// repbus::simulate_bus_chain and the bench/mor_accuracy reference. A probe
+// that has not crossed when the window ends extends the horizon: the run
+// keeps stepping from where it is, at the same dt, out to 4x the previous
+// horizon, at most kMaxHorizonExtensions times (each counted under the obs
+// counter transient.horizon_extensions). An extended run takes the steps a
+// single run at the final horizon and the same dt takes.
 #pragma once
 
 #include <optional>

@@ -142,9 +142,11 @@ void sort_by_closed_form_delay(const SweepSpec& spec, const EngineOptions& optio
                    [&](std::size_t a, std::size_t b) { return key[a] < key[b]; });
 }
 
+// `reference` marks point 0, evaluated on the calling thread to seed
+// `reuse` for every worker (SweepEngine::run).
 double evaluate_point(const Scenario& scenario, Analysis analysis,
                       const EngineOptions& options, sim::SolverReuse* reuse,
-                      const mor::ArnoldiBasis* basis = nullptr) {
+                      const mor::ArnoldiBasis* basis, bool reference) {
   switch (analysis) {
     case Analysis::kClosedFormDelay:
       return core::rlc_delay(scenario.system, options.fit);
@@ -196,7 +198,16 @@ double evaluate_point(const Scenario& scenario, Analysis analysis,
                    ? m.peak_noise
                    : m.victim_delay_50.value_or(kNaN);
       }
-      const core::CrosstalkMetrics m = core::analyze_crosstalk(bus, x.pattern, xt);
+      // Delay and push-out stop at the victim's crossing; a quiet victim
+      // has none, so its delay points simulate nothing. The reference point
+      // still runs the window: its factorizations seed every worker.
+      const bool quiet = x.pattern == core::SwitchingPattern::kQuietVictim;
+      const sim::CrossingWindow window =
+          analysis == Analysis::kCrosstalkNoise || (quiet && reference)
+              ? sim::CrossingWindow::kFullWindow
+              : sim::CrossingWindow::kStopAtCrossing;
+      const core::CrosstalkMetrics m =
+          core::analyze_crosstalk(bus, x.pattern, xt, window);
       if (analysis == Analysis::kCrosstalkNoise) return m.peak_noise;
       // Quiet-victim delays are absent, recorded as NaN (never 0).
       return analysis == Analysis::kCrosstalkDelay
@@ -490,7 +501,7 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
         scenario_bus(nominal), nominal.xtalk.pattern,
         scenario_crosstalk_options(nominal, options, &reference), basis_order);
   out.values[0] = evaluate_point(nominal, analysis, options, &reference,
-                                 project ? &basis : nullptr);
+                                 project ? &basis : nullptr, /*reference=*/true);
   std::atomic<std::size_t> symbolic{numeric::sparse_lu_stats().symbolic -
                                     before.symbolic};
   std::atomic<std::size_t> ejected{0};
@@ -537,7 +548,8 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
       if (point_projects) OBS_COUNTER_ADD("reuse.projection_points", 1);
       out.values[points[k]] = evaluate_point(scenario, analysis, options,
                                              &reuse[worker],
-                                             point_projects ? &basis : nullptr);
+                                             point_projects ? &basis : nullptr,
+                                             /*reference=*/false);
     }
     if (crossings) batched_points.fetch_add(count);
     const numeric::SparseLuStats unit_after = numeric::sparse_lu_stats();

@@ -134,10 +134,12 @@ enum class Analysis {
   kRepeaterDelay,    // eq. (19) total delay at the scenario's (h, k)
   kRepeaterOptimum,  // numerically optimized RLC-aware total delay
   kCrosstalkDelay,   // bus victim 50% delay under the scenario's pattern, s
-                     // (NaN for kQuietVictim — a quiet victim never switches)
+                     // (NaN for kQuietVictim — a quiet victim never switches);
+                     // the victim run stops at its crossing
   kCrosstalkNoise,   // peak victim excursion outside its drive envelope, V
+                     // (the victim run steps the whole window)
   kCrosstalkPushout, // victim delay minus the two-pole isolated delay, s
-                     // (NaN for kQuietVictim)
+                     // (NaN for kQuietVictim); stops at the crossing
   kReducedDelay,     // reduced-order ANALYTIC victim 50% delay of the same
                      // bus/pattern (core::analyze_crosstalk_reduced at the
                      // scenario's reduction_order) — the paper's "analytic

@@ -4,13 +4,16 @@
 // two-pole threshold query must fail loudly instead of handing the root
 // finder an unbracketed interval.
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/crosstalk.h"
 #include "core/two_pole.h"
+#include "obs/obs.h"
 #include "sim/ac.h"
 #include "sim/builders.h"
 #include "sim/transient.h"
@@ -422,6 +425,136 @@ TEST(CrosstalkSweep, NoiseAnalysisAndReuse) {
   // point 0 and replayed by every worker.
   EXPECT_EQ(result.symbolic_factorizations, 2u);
   EXPECT_GT(result.solver_reuse_hits, 0u);
+}
+
+// What a delay sweep must reproduce bit for bit: analyze_crosstalk with its
+// full-window default, in grid order, every point replaying the symbolic
+// records point 0 seeded (as every sweep worker does).
+std::vector<double> full_window_values(const sweep::SweepSpec& spec,
+                                       const sweep::EngineOptions& engine,
+                                       sweep::Analysis analysis) {
+  sim::SolverReuse reuse;
+  std::vector<double> values;
+  for (std::size_t i = 0; i < spec.size(); ++i) {
+    const sweep::Scenario s = spec.at(i);
+    const tline::CoupledBus bus = tline::make_bus(
+        s.xtalk.bus_lines, s.system.line, s.xtalk.cc_ratio, s.xtalk.lm_ratio);
+    core::CrosstalkOptions opt;
+    opt.driver_resistance = s.system.driver_resistance;
+    opt.load_capacitance = s.system.load_capacitance;
+    opt.segments = engine.segments;
+    opt.t_stop = engine.t_stop;
+    opt.dt = engine.dt;
+    opt.reuse = &reuse;
+    const core::CrosstalkMetrics m = core::analyze_crosstalk(bus, s.xtalk.pattern, opt);
+    values.push_back(analysis == sweep::Analysis::kCrosstalkDelay
+                         ? m.victim_delay_50.value_or(std::nan(""))
+                         : m.delay_pushout.value_or(std::nan("")));
+  }
+  return values;
+}
+
+std::uint64_t counter(const char* name) {
+  return obs::counter_total(name).value_or(0);
+}
+
+// Delay and push-out sweeps stop every victim transient at its crossing and
+// skip quiet victims, yet return the full-window values bit for bit: with a
+// quiet or a switching point 0, a Cc = 0 point (another topology), on the
+// default horizon and on a short explicit one that the victim only crosses
+// after horizon extensions, at 1 and 3 threads.
+TEST(Crosstalk, DelaySweepStopsAtTheCrossingBitForBit) {
+  using core::SwitchingPattern;
+  const std::vector<std::vector<SwitchingPattern>> orders = {
+      {SwitchingPattern::kQuietVictim, SwitchingPattern::kSamePhase,
+       SwitchingPattern::kOppositePhase},
+      {SwitchingPattern::kOppositePhase, SwitchingPattern::kQuietVictim,
+       SwitchingPattern::kSamePhase}};
+  sweep::EngineOptions short_horizon;
+  short_horizon.t_stop = 4e-11;  // crosses only after extending the window
+  short_horizon.dt = 1e-13;
+  for (const auto& patterns : orders) {
+    sweep::SweepSpec spec;
+    spec.base.system = {kRdrv, kLine, kCload};
+    spec.base.xtalk.bus_lines = 3;
+    spec.base.xtalk.lm_ratio = 0.2;
+    spec.axes = {sweep::switching_patterns(patterns),
+                 sweep::values(sweep::Variable::kCouplingCapRatio, {0.3, 0.0})};
+    std::size_t switching = 0;
+    for (std::size_t i = 0; i < spec.size(); ++i)
+      if (spec.at(i).xtalk.pattern != SwitchingPattern::kQuietVictim) ++switching;
+    // Every switching point runs one transient; of the quiet points only a
+    // quiet point 0 does, to seed the records the workers replay.
+    const std::size_t runs =
+        switching + (patterns.front() == SwitchingPattern::kQuietVictim ? 1 : 0);
+
+    for (sweep::EngineOptions engine : {sweep::EngineOptions{}, short_horizon}) {
+      engine.segments = 12;
+      for (const auto analysis :
+           {sweep::Analysis::kCrosstalkDelay, sweep::Analysis::kCrosstalkPushout}) {
+        const std::string name = std::string(sweep::analysis_name(analysis)) +
+                                 (engine.t_stop > 0.0 ? " short horizon" : "") +
+                                 " point 0 " +
+                                 core::switching_pattern_name(patterns.front());
+        const std::uint64_t full_steps_before = counter("transient.steps");
+        const std::uint64_t extensions_before =
+            counter("transient.horizon_extensions");
+        const std::vector<double> expected = full_window_values(spec, engine, analysis);
+        const std::uint64_t full_steps = counter("transient.steps") - full_steps_before;
+        if (obs::metrics_enabled() && engine.t_stop > 0.0) {
+          EXPECT_GT(counter("transient.horizon_extensions"), extensions_before) << name;
+        }
+
+        for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+          engine.threads = threads;
+          const std::uint64_t steps_before = counter("transient.steps");
+          const std::uint64_t runs_before = counter("transient.runs");
+          const sweep::SweepResult result = sweep::SweepEngine(engine).run(spec, analysis);
+          ASSERT_EQ(result.values.size(), expected.size()) << name;
+          EXPECT_EQ(std::memcmp(result.values.data(), expected.data(),
+                                expected.size() * sizeof(double)),
+                    0)
+              << name << ", " << threads << " threads";
+          if (obs::metrics_enabled()) {
+            EXPECT_EQ(counter("transient.runs") - runs_before, runs) << name;
+            EXPECT_LT(counter("transient.steps") - steps_before, full_steps) << name;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A run that stops at the crossing does not measure noise: peak_noise is
+// NaN, never a number scanned from a truncated window, and a quiet victim
+// is not simulated at all. The delay metrics are the full window's.
+TEST(Crosstalk, StopAtCrossingLeavesNoiseUnmeasured) {
+  const tline::CoupledBus bus = tline::make_bus(3, kLine, 0.3, 0.2);
+  const core::CrosstalkOptions opt = options_for(12);
+  const auto full = core::analyze_crosstalk(bus, core::SwitchingPattern::kOppositePhase, opt);
+  const auto stopped = core::analyze_crosstalk(
+      bus, core::SwitchingPattern::kOppositePhase, opt,
+      sim::CrossingWindow::kStopAtCrossing);
+  ASSERT_TRUE(full.victim_delay_50 && stopped.victim_delay_50);
+  EXPECT_EQ(std::memcmp(&*full.victim_delay_50, &*stopped.victim_delay_50,
+                        sizeof(double)),
+            0);
+  EXPECT_EQ(full.delay_pushout.has_value(), stopped.delay_pushout.has_value());
+  if (full.delay_pushout) {
+    EXPECT_EQ(*full.delay_pushout, *stopped.delay_pushout);
+  }
+  EXPECT_TRUE(std::isfinite(full.peak_noise));
+  EXPECT_TRUE(std::isnan(stopped.peak_noise));
+
+  const std::uint64_t runs_before = counter("transient.runs");
+  const auto quiet = core::analyze_crosstalk(
+      bus, core::SwitchingPattern::kQuietVictim, opt,
+      sim::CrossingWindow::kStopAtCrossing);
+  EXPECT_FALSE(quiet.victim_delay_50);
+  EXPECT_FALSE(quiet.delay_pushout);
+  EXPECT_FALSE(quiet.isolated_delay_two_pole);
+  EXPECT_TRUE(std::isnan(quiet.peak_noise));
+  EXPECT_EQ(counter("transient.runs"), runs_before);
 }
 
 TEST(CrosstalkSweep, AxisValidation) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "numeric/optimize.h"
+
 namespace {
 
 using namespace rlcsim;
@@ -80,6 +82,25 @@ TEST(Optimize, PracticalDesignHasIntegerSections) {
   EXPECT_GE(best.practical.sections, 1.0);
   // Rounding costs a little but not much (flat minimum).
   EXPECT_LT(best.practical_delay, best.continuous_delay * 1.05);
+}
+
+// A short, resistive, inductive line behind a weak buffer: the closed-form
+// seed asks for well under one section, so the constrained optimum sits on
+// the k_min = 1 boundary (the k range used to come out empty and throw).
+TEST(Optimize, SeedBelowMinSectionsFindsTheBoundaryOptimum) {
+  const tline::LineParams line{1000.0, 1e-6, 1e-12};
+  const MinBuffer buffer{3000.0, 5e-15, 1.0, 0.0};
+  ASSERT_LT(1.6 * ismail_friedman_rlc(line, buffer).sections, 1.0);
+  const OptimizedDesign best = optimize(line, buffer, kPaperFit, 1.0);
+  EXPECT_GE(best.continuous.sections, 1.0);
+  EXPECT_TRUE(std::isfinite(best.continuous_delay));
+  // No worse than the best single-section design.
+  const auto at_one_section = numeric::brent_min(
+      [&](double h) { return total_delay(line, buffer, {h, 1.0}); }, 1e-3,
+      1e4, {.x_tolerance = 1e-12});
+  EXPECT_LE(best.continuous_delay, at_one_section.value * (1.0 + 1e-9));
+  EXPECT_GE(best.practical.sections, 1.0);
+  EXPECT_LE(best.practical_delay, at_one_section.value * (1.0 + 1e-9));
 }
 
 TEST(RcSizingPenalty, NonnegativeAndGrowing) {

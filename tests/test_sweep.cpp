@@ -249,6 +249,26 @@ TEST(SweepEngine, RepeaterBatchMatchesSerialOptimize) {
               1e-3 * serial.continuous.sections);
 }
 
+// Every point of this grid has a closed-form seed below one section (a
+// resistive 1 uH line behind a weak buffer): the optimum sits on the
+// min_sections = 1 boundary instead of aborting the sweep.
+TEST(SweepEngine, RepeaterOptimumOnASubSectionSeedLine) {
+  sweep::SweepSpec spec;
+  spec.base.system = {500.0, {1000.0, 1e-6, 1e-12}, 0.5e-12};
+  spec.base.buffer = {3000.0, 5e-15, 1.0, 0.0};
+  spec.axes = {
+      sweep::values(sweep::Variable::kDriverResistance, {200.0, 500.0, 900.0}),
+      sweep::values(sweep::Variable::kLoadCapacitance, {0.1e-12, 0.5e-12, 1e-12}),
+  };
+  const auto result = sweep::SweepEngine(engine_options(2))
+                          .run(spec, sweep::Analysis::kRepeaterOptimum);
+  ASSERT_EQ(result.values.size(), spec.size());
+  for (double v : result.values) {
+    EXPECT_TRUE(std::isfinite(v));
+    EXPECT_GT(v, 0.0);
+  }
+}
+
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
   runtime::ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
