@@ -11,10 +11,16 @@
 // the exit status IS the determinism check (0 iff every thread count
 // produced the same bits), so CI can gate on it directly.
 //
-// Usage: crosstalk_scaling [--fast] [--points N] [--threads a,b,c]
+// Usage: crosstalk_scaling [--fast] [--points N] [--threads a,b,c] [--dump F]
 //   --fast      64-point grid, thread counts 1,2 (CI smoke run)
 //   --points N  approximate grid size (rounded to a 3-axis box x 2 patterns)
 //   --threads   comma list of thread counts (default 1,2,4,8)
+//   --dump F    write raw result bytes to file F: the reference delay run's
+//               values, then those of a crosstalk_noise sweep of the same
+//               grid at the first thread count. The noise sweep runs only
+//               under --dump, after the JSON is printed, so the JSON is the
+//               same with or without it. cmp two dumps (tracing on vs off,
+//               or two builds) to prove results identical bit for bit.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -58,12 +64,15 @@ sweep::SweepSpec grid_of(std::size_t target_points) {
 int main(int argc, char** argv) {
   std::size_t target_points = 512;
   std::vector<std::size_t> thread_counts{1, 2, 4, 8};
+  const char* dump_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--fast") == 0) {
       target_points = 64;
       thread_counts = {1, 2};
     } else if (std::strcmp(argv[i], "--points") == 0 && i + 1 < argc) {
       target_points = std::strtoul(argv[++i], nullptr, 10);
+    } else if (std::strcmp(argv[i], "--dump") == 0 && i + 1 < argc) {
+      dump_path = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       try {
         thread_counts = benchutil::parse_thread_list(argv[++i]);
@@ -91,11 +100,14 @@ int main(int argc, char** argv) {
   std::vector<double> reference;
   bool all_identical = true;
   double base_pps = 0.0;
-  for (std::size_t t = 0; t < thread_counts.size(); ++t) {
+  const auto engine_options = [](std::size_t threads) {
     sweep::EngineOptions options;
-    options.threads = thread_counts[t];
+    options.threads = threads;
     options.segments = 16;  // 3-line bus ~ 150 unknowns: sparse path live
-    const sweep::SweepEngine engine(options);
+    return options;
+  };
+  for (std::size_t t = 0; t < thread_counts.size(); ++t) {
+    const sweep::SweepEngine engine(engine_options(thread_counts[t]));
     const sweep::SweepResult result =
         engine.run(spec, sweep::Analysis::kCrosstalkDelay);
 
@@ -120,5 +132,22 @@ int main(int argc, char** argv) {
   std::printf("  \"all_thread_counts_bit_identical\": %s\n",
               all_identical ? "true" : "false");
   std::printf("}\n");
+
+  if (dump_path != nullptr) {
+    const std::vector<double> noise =
+        sweep::SweepEngine(engine_options(thread_counts.front()))
+            .run(spec, sweep::Analysis::kCrosstalkNoise)
+            .values;
+    // Raw bytes (not text), so cmp sees every bit.
+    std::FILE* f = std::fopen(dump_path, "wb");
+    if (f == nullptr) {
+      std::fprintf(stderr, "crosstalk_scaling: cannot open --dump path %s\n",
+                   dump_path);
+      return 2;
+    }
+    std::fwrite(reference.data(), sizeof(double), reference.size(), f);
+    std::fwrite(noise.data(), sizeof(double), noise.size(), f);
+    std::fclose(f);
+  }
   return all_identical ? 0 : 1;
 }

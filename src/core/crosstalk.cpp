@@ -203,6 +203,9 @@ CrosstalkMetrics analyze_crosstalk(const tline::CoupledBus& bus,
   transient.dt = options.dt;
   transient.solver = options.solver;
   transient.reuse = options.reuse;
+  // Every metric is read from the victim's far end, so that is all any
+  // victim transient records, in either window.
+  transient.record_only = victim_node;
 
   sim::Trace victim;
   if (victim_switches) {

@@ -111,15 +111,17 @@ struct CrosstalkMetrics {
 };
 
 // Simulates the bus under `pattern` and measures the victim. The victim
-// transient is a probe run of the victim's far end (sim::run_until_crossing)
-// whose `window` says how much of it is measured:
-//  * kFullWindow (the default) steps the whole window, records every node
-//    and scans it for peak_noise; every metric is filled in.
-//  * kStopAtCrossing records the victim alone and stops at the step that
-//    brackets its 50% crossing: the delay, push-out and isolated reference
-//    are the kFullWindow values bit for bit, and peak_noise is NaN (not
-//    measured). A quiet victim has no crossing, so nothing is simulated:
-//    every optional metric is absent and peak_noise is NaN.
+// transient records the victim's far end alone (no other node is ever
+// read); for a switching victim it is a probe run of that node
+// (sim::run_until_crossing) whose `window` says how much of it is measured:
+//  * kFullWindow (the default) steps the whole window and scans the
+//    victim's record for peak_noise; every metric is filled in. A quiet
+//    victim runs the same window without a probe.
+//  * kStopAtCrossing stops at the step that brackets the victim's 50%
+//    crossing: the delay, push-out and isolated reference are the
+//    kFullWindow values bit for bit, and peak_noise is NaN (not measured).
+//    A quiet victim has no crossing, so nothing is simulated: every
+//    optional metric is absent and peak_noise is NaN.
 // Throws std::invalid_argument for invalid bus/options (in either window)
 // and std::runtime_error if a switching victim never crosses 50% within the
 // (auto-extended) horizon.

@@ -277,7 +277,6 @@ void SparseLuBatch::solve_in_place(BatchedValues& x) const {
     throw std::invalid_argument("SparseLuBatch::solve: lane count mismatch");
   if (x.slots() != static_cast<std::size_t>(donor_.n_))
     throw std::invalid_argument("SparseLuBatch::solve: rhs size mismatch");
-  OBS_COUNTER_ADD("batch.solves", 1);
 
   // Solve ejected lanes through their scalar fallback BEFORE the batch
   // kernel clobbers x; the kernel then streams garbage through those lanes

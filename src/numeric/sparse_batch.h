@@ -100,7 +100,9 @@ class SparseLuBatch {
 
   // In-place batched triangular solves: x holds W right-hand sides
   // (slots() == size()) and receives the W solutions. Ejected lanes are
-  // routed through their scalar fallback factorization transparently.
+  // routed through their scalar fallback factorization transparently (each
+  // adds one lu.solves). The obs counter batch.solves is not added here:
+  // sim::run_batched_crossings adds its tile's solves once per tile.
   void solve_in_place(BatchedValues& x) const;
 
   // Lanes ejected by the last refactor() (zero stale pivot -> scalar path).

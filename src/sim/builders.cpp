@@ -109,6 +109,7 @@ DelayRun run_until_crossing(const Circuit& circuit, const std::string& node,
                             double level, TransientOptions options,
                             const char* context, CrossingWindow window) {
   options.probe = TransientProbe{node, level, window};
+  if (window == CrossingWindow::kStopAtCrossing) options.record_only = node;
   TransientResult result = run_transient(circuit, options);
   const double crossing = detail::crossed(result.crossing, context, node);
   return {std::move(result), crossing};
@@ -168,6 +169,7 @@ double simulate_crosstalk_peak(const CoupledLinesSpec& spec,
   const tline::GateLineLoad one{driver_resistance, spec.line, load_capacitance};
   TransientOptions options;
   options.t_stop = (t_stop > 0.0) ? t_stop : default_transient_horizon(one);
+  options.record_only = "vic.out";
   const TransientResult result = run_transient(circuit, options);
   const Trace victim = result.waveforms.trace("vic.out");
   return std::max(std::fabs(victim.max_value()), std::fabs(victim.min_value()));

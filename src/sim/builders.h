@@ -79,10 +79,12 @@ double default_transient_horizon(const tline::GateLineLoad& system);
 // prefixed with `context` if it never crosses. The shared auto-extend
 // policy of every delay-measuring entry point. kStopAtCrossing (delay-only
 // callers, core::analyze_crosstalk among them when no noise is wanted)
-// records `node` alone and stops at the step that brackets the crossing;
-// kFullWindow (callers that also scan the waveform: analyze_crosstalk for
-// its noise, repbus::simulate_bus_chain) records every node to the end of
-// the window, extended or not, that holds the crossing.
+// stops at the step that brackets the crossing and records `node` alone
+// (it sets options.record_only). kFullWindow (callers that also scan the
+// waveform: analyze_crosstalk for its noise, repbus::simulate_bus_chain)
+// steps to the end of the window, extended or not, that holds the crossing
+// and records what options.record_only says: analyze_crosstalk names its
+// victim, simulate_bus_chain leaves it absent and records every node.
 struct DelayRun {
   TransientResult result;
   double crossing = 0.0;  // s

@@ -110,14 +110,21 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
   OBS_COUNTER_ADD("transient.runs", 1);
   if (const char* error = detail::invalid_options(options))
     throw std::invalid_argument(std::string("run_transient: ") + error);
-  const std::optional<TransientProbe>& probe = options.probe;
-  NodeId probe_node = kGround;
-  if (probe) {
-    const auto found = circuit.find_node(probe->node);
+  const auto node_of = [&](const std::string& name, const char* role) {
+    const auto found = circuit.find_node(name);
     if (!found || *found == kGround)
-      throw std::invalid_argument("run_transient: probe node '" + probe->node +
-                                  "' is not a node of the circuit");
-    probe_node = *found;
+      throw std::invalid_argument(std::string("run_transient: ") + role + " node '" +
+                                  name + "' is not a node of the circuit");
+    return *found;
+  };
+  const std::optional<TransientProbe>& probe = options.probe;
+  const NodeId probe_node = probe ? node_of(probe->node, "probe") : kGround;
+  std::vector<std::size_t> recorded;  // node indices, one per column
+  if (options.record_only) {
+    recorded.push_back(
+        static_cast<std::size_t>(node_of(*options.record_only, "record_only")));
+  } else {
+    for (std::size_t i = 0; i < circuit.node_count(); ++i) recorded.push_back(i);
   }
 
   const MnaAssembler assembler(circuit);
@@ -151,17 +158,9 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
     return factor;
   };
 
-  // --- recording: the probe node alone, or every node ----------------------
-  const bool stop_at_crossing =
-      probe && probe->window == CrossingWindow::kStopAtCrossing;
+  // --- recording: the record_only node, else every node -------------------
   std::vector<double> times;
   std::map<std::string, std::vector<double>> node_values;
-  std::vector<std::size_t> recorded;  // node indices, one per column
-  if (stop_at_crossing) {
-    recorded.push_back(static_cast<std::size_t>(probe_node));
-  } else {
-    for (std::size_t i = 0; i < circuit.node_count(); ++i) recorded.push_back(i);
-  }
   std::vector<std::vector<double>*> columns(recorded.size());
   for (std::size_t c = 0; c < recorded.size(); ++c)
     columns[c] = &node_values[circuit.node_name(static_cast<NodeId>(recorded[c]))];
@@ -175,10 +174,12 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
   const detail::StepperInput in{
       options, {&circuit}, assembler, dc.data(),
       probe ? std::vector<NodeId>{probe_node} : std::vector<NodeId>{},
-      probe ? probe->level : 0.0, stop_at_crossing};
+      probe ? probe->level : 0.0,
+      probe && probe->window == CrossingWindow::kStopAtCrossing};
   detail::StepperOutput run = detail::step_lanes<1>(in, x, make_factor, record);
 
   OBS_COUNTER_ADD("transient.steps", run.steps);
+  OBS_COUNTER_ADD("transient.recorded_values", times.size() * recorded.size());
   OBS_COUNTER_ADD("cache.lu_dt.hits", run.lu_hits);
   OBS_COUNTER_ADD("cache.lu_dt.misses", run.lu_misses);
   // Every step solve (rejected ones included) is one cache hit or miss.

@@ -30,26 +30,33 @@
 // ulps reuse one factorization instead of triggering spurious
 // refactorizations.
 //
+// Recording: one rule. A run records the node voltages at t = 0 and after
+// every accepted step: of the node TransientOptions::record_only names, or
+// of every node when it names none. What a run records never changes what
+// it computes: the named node's samples are the every-node record's
+// samples bit for bit.
+//
 // Probe runs: a caller that waits for one node's first rising crossing of
 // a level names it in TransientOptions::probe. The run checks each new
 // sample interval of that node with numeric::find_crossing's test as it is
 // produced, and reports the crossing in TransientResult::crossing. Its
-// CrossingWindow says what happens once the crossing is known:
-// kStopAtCrossing records that node alone and ends the run at the first
+// CrossingWindow says only when the run ends: kStopAtCrossing at the first
 // step that brackets the crossing (the recorded prefix is the full record's
 // prefix sample for sample, so the crossing is the one a full-window run
-// reports, bit for bit); kFullWindow records every node over the whole
-// window, as a run without a probe does. Delay-only callers stop at the
-// crossing: sweep kTransientDelay, simulate_gate_line_delay,
-// simulate_repeater_chain_delay and the crosstalk delay and push-out
-// sweeps. Callers that also scan the waveform run the full window:
-// core::analyze_crosstalk when its noise is wanted (its default),
-// repbus::simulate_bus_chain and the bench/mor_accuracy reference. A probe
-// that has not crossed when the window ends extends the horizon: the run
-// keeps stepping from where it is, at the same dt, out to 4x the previous
-// horizon, at most kMaxHorizonExtensions times (each counted under the obs
-// counter transient.horizon_extensions). An extended run takes the steps a
-// single run at the final horizon and the same dt takes.
+// reports, bit for bit), kFullWindow at the end of the window.
+// sim::run_until_crossing records the probe node alone when it stops at the
+// crossing. Delay-only callers stop at the crossing: sweep kTransientDelay,
+// simulate_gate_line_delay, simulate_repeater_chain_delay and the crosstalk
+// delay and push-out sweeps. Callers that also scan the waveform run the
+// full window: core::analyze_crosstalk when its noise is wanted (its
+// default), which records the victim's far end alone, and
+// repbus::simulate_bus_chain and the bench/mor_accuracy reference, which
+// record every node. A probe that has not crossed when the window ends
+// extends the horizon: the run keeps stepping from where it is, at the
+// same dt, out to 4x the previous horizon, at most kMaxHorizonExtensions
+// times (each counted under the obs counter transient.horizon_extensions).
+// An extended run takes the steps a single run at the final horizon and the
+// same dt takes.
 #pragma once
 
 #include <optional>
@@ -77,10 +84,10 @@ struct SolverReuse {
   numeric::SymbolicRecord conductance;  // G alone, for mor moment generation
 };
 
-// How far a probe run steps once its crossing is known, and what it records.
+// How far a probe run steps once its crossing is known.
 enum class CrossingWindow {
-  kStopAtCrossing,  // stop at the bracketing step; record the probe node alone
-  kFullWindow,      // finish the window; record every node (waveform scans)
+  kStopAtCrossing,  // stop at the step that brackets the crossing
+  kFullWindow,      // finish the window (waveform scans)
 };
 
 // The one node a caller waits on, and the level of its rising crossing.
@@ -107,8 +114,12 @@ struct TransientOptions {
   // solver path.
   SolverReuse* reuse = nullptr;
   // Watch this node for its crossing (see the top of this file). Absent:
-  // record every node over the whole window, which is never extended.
+  // run the whole window, which is never extended.
   std::optional<TransientProbe> probe{};
+  // Record this node alone (see the top of this file). Absent: record
+  // every node. The obs counter transient.recorded_values adds each run's
+  // samples times recorded nodes.
+  std::optional<std::string> record_only{};
 };
 
 struct TransientResult {
@@ -123,8 +134,8 @@ struct TransientResult {
 };
 
 // Runs a transient analysis. Throws std::invalid_argument for bad options
-// (including a probe node the circuit does not have) and std::runtime_error
-// if the MNA matrix is singular.
+// (including a probe or record_only node the circuit does not have) and
+// std::runtime_error if the MNA matrix is singular.
 TransientResult run_transient(const Circuit& circuit, const TransientOptions& options);
 
 // Source discontinuity times within [0, t_stop]: step corners, PWL points,

@@ -181,6 +181,9 @@ std::optional<std::vector<double>> run_batched_crossings(
   }
   OBS_COUNTER_ADD("cache.lu_dt_batch.hits", run.lu_hits);
   OBS_COUNTER_ADD("cache.lu_dt_batch.misses", run.lu_misses);
+  // The DC solve plus one batched solve per step solve (each is one cache
+  // hit or miss), counted once per tile.
+  OBS_COUNTER_ADD("batch.solves", 1 + run.lu_hits + run.lu_misses);
 
   std::vector<double> crossings(lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane)

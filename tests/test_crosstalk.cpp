@@ -3,6 +3,7 @@
 // report "not in record" as ABSENT, never as a fabricated 0, and the
 // two-pole threshold query must fail loudly instead of handing the root
 // finder an unbracketed interval.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -427,8 +428,8 @@ TEST(CrosstalkSweep, NoiseAnalysisAndReuse) {
   EXPECT_GT(result.solver_reuse_hits, 0u);
 }
 
-// What a delay sweep must reproduce bit for bit: analyze_crosstalk with its
-// full-window default, in grid order, every point replaying the symbolic
+// What a crosstalk sweep must reproduce bit for bit: analyze_crosstalk with
+// its full-window default, in grid order, every point replaying the symbolic
 // records point 0 seeded (as every sweep worker does).
 std::vector<double> full_window_values(const sweep::SweepSpec& spec,
                                        const sweep::EngineOptions& engine,
@@ -443,11 +444,13 @@ std::vector<double> full_window_values(const sweep::SweepSpec& spec,
     opt.driver_resistance = s.system.driver_resistance;
     opt.load_capacitance = s.system.load_capacitance;
     opt.segments = engine.segments;
+    opt.shield_every = s.xtalk.shield_every;
     opt.t_stop = engine.t_stop;
     opt.dt = engine.dt;
     opt.reuse = &reuse;
     const core::CrosstalkMetrics m = core::analyze_crosstalk(bus, s.xtalk.pattern, opt);
-    values.push_back(analysis == sweep::Analysis::kCrosstalkDelay
+    values.push_back(analysis == sweep::Analysis::kCrosstalkNoise ? m.peak_noise
+                     : analysis == sweep::Analysis::kCrosstalkDelay
                          ? m.victim_delay_50.value_or(std::nan(""))
                          : m.delay_pushout.value_or(std::nan("")));
   }
@@ -555,6 +558,136 @@ TEST(Crosstalk, StopAtCrossingLeavesNoiseUnmeasured) {
   EXPECT_FALSE(quiet.isolated_delay_two_pole);
   EXPECT_TRUE(std::isnan(quiet.peak_noise));
   EXPECT_EQ(counter("transient.runs"), runs_before);
+}
+
+// analyze_crosstalk's victim metrics rebuilt from public API alone: the
+// same circuit and horizon, run with every node recorded, and the victim's
+// extrema and crossing read from that record. `samples` receives the
+// run's sample count.
+core::CrosstalkMetrics every_node_reference(const tline::CoupledBus& bus,
+                                            core::SwitchingPattern pattern,
+                                            const core::CrosstalkOptions& opt,
+                                            std::size_t* samples) {
+  const int victim = bus.victim_index();
+  const sim::Circuit circuit = sim::build_coupled_bus(
+      bus, core::pattern_drives(bus.lines, victim, pattern, opt.shield_every),
+      opt.driver_resistance, opt.load_capacitance, opt.segments, opt.vdd,
+      opt.source_rise);
+  const std::string node = "line" + std::to_string(victim) + ".out";
+  sim::TransientOptions transient;
+  transient.t_stop =
+      opt.t_stop > 0.0 ? opt.t_stop
+                       : sim::default_transient_horizon(
+                             {opt.driver_resistance, bus.line_at(victim),
+                              opt.load_capacitance});
+  transient.dt = opt.dt;
+  const bool switching = pattern != core::SwitchingPattern::kQuietVictim;
+  core::CrosstalkMetrics m;
+  sim::TransientResult run;
+  if (switching) {
+    sim::DelayRun delay = sim::run_until_crossing(
+        circuit, node, 0.5 * opt.vdd, transient, "every_node_reference",
+        sim::CrossingWindow::kFullWindow);
+    m.victim_delay_50 = delay.crossing;
+    run = std::move(delay.result);
+  } else {
+    run = sim::run_transient(circuit, transient);
+  }
+  EXPECT_EQ(run.waveforms.node_names().size(), circuit.node_count());
+  const sim::Trace trace = run.waveforms.trace(node);
+  const double lo = 0.0;
+  const double hi = switching ? opt.vdd : 0.0;
+  m.peak_noise = std::max({0.0, lo - trace.min_value(), trace.max_value() - hi});
+  *samples = run.waveforms.time().size();
+  return m;
+}
+
+// The noise scan records the victim's far end alone, one value per sample,
+// and its peak noise and delay are what an every-node record of the same
+// window gives, bit for bit: quiet, same- and opposite-phase victims, a
+// Cc = 0 bus, shields on every second line, and a short explicit horizon
+// the switching victims cross only after extending it. Noise sweeps at 1
+// and 3 threads return the direct calls' values.
+TEST(Crosstalk, NoiseScanRecordsTheVictimAloneBitForBit) {
+  using core::SwitchingPattern;
+  struct Case {
+    const char* name;
+    int lines;
+    double cc_ratio;
+    int shield_every;
+    double t_stop, dt;
+  };
+  const Case cases[] = {{"3 lines", 3, 0.3, 0, 0.0, 0.0},
+                        {"Cc 0", 3, 0.0, 0, 0.0, 0.0},
+                        {"shield_every 2", 5, 0.3, 2, 0.0, 0.0},
+                        {"short horizon", 3, 0.3, 0, 4e-11, 1e-13}};
+  const std::vector<SwitchingPattern> patterns = {SwitchingPattern::kQuietVictim,
+                                                  SwitchingPattern::kSamePhase,
+                                                  SwitchingPattern::kOppositePhase};
+  for (const Case& c : cases) {
+    const tline::CoupledBus bus = tline::make_bus(c.lines, kLine, c.cc_ratio, 0.2);
+    core::CrosstalkOptions opt = options_for(12);
+    opt.shield_every = c.shield_every;
+    opt.t_stop = c.t_stop;
+    opt.dt = c.dt;
+    for (const SwitchingPattern pattern : patterns) {
+      const std::string name =
+          std::string(c.name) + " " + core::switching_pattern_name(pattern);
+      std::size_t samples = 0;
+      const core::CrosstalkMetrics expected =
+          every_node_reference(bus, pattern, opt, &samples);
+      const std::uint64_t recorded_before = counter("transient.recorded_values");
+      const std::uint64_t extensions_before = counter("transient.horizon_extensions");
+      const core::CrosstalkMetrics m = core::analyze_crosstalk(bus, pattern, opt);
+      EXPECT_EQ(std::memcmp(&m.peak_noise, &expected.peak_noise, sizeof(double)), 0)
+          << name;
+      ASSERT_EQ(m.victim_delay_50.has_value(), expected.victim_delay_50.has_value())
+          << name;
+      if (expected.victim_delay_50) {
+        EXPECT_EQ(std::memcmp(&*m.victim_delay_50, &*expected.victim_delay_50,
+                              sizeof(double)),
+                  0)
+            << name;
+      }
+      if (obs::metrics_enabled()) {
+        EXPECT_EQ(counter("transient.recorded_values") - recorded_before, samples)
+            << name;
+        if (c.t_stop > 0.0 && pattern != SwitchingPattern::kQuietVictim) {
+          EXPECT_GT(counter("transient.horizon_extensions"), extensions_before) << name;
+        }
+      }
+    }
+  }
+
+  sweep::EngineOptions short_horizon;
+  short_horizon.t_stop = 4e-11;
+  short_horizon.dt = 1e-13;
+  for (const int shield_every : {0, 2}) {
+    sweep::SweepSpec spec;
+    spec.base.system = {kRdrv, kLine, kCload};
+    spec.base.xtalk.bus_lines = shield_every > 0 ? 5 : 3;
+    spec.base.xtalk.lm_ratio = 0.2;
+    spec.base.xtalk.shield_every = shield_every;
+    spec.axes = {sweep::switching_patterns(patterns),
+                 sweep::values(sweep::Variable::kCouplingCapRatio, {0.3, 0.0})};
+    for (sweep::EngineOptions engine : {sweep::EngineOptions{}, short_horizon}) {
+      engine.segments = 12;
+      const std::vector<double> expected =
+          full_window_values(spec, engine, sweep::Analysis::kCrosstalkNoise);
+      for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        engine.threads = threads;
+        const sweep::SweepResult result =
+            sweep::SweepEngine(engine).run(spec, sweep::Analysis::kCrosstalkNoise);
+        ASSERT_EQ(result.values.size(), expected.size());
+        EXPECT_EQ(std::memcmp(result.values.data(), expected.data(),
+                              expected.size() * sizeof(double)),
+                  0)
+            << "shield_every " << shield_every
+            << (engine.t_stop > 0.0 ? " short horizon, " : ", ") << threads
+            << " threads";
+      }
+    }
+  }
 }
 
 TEST(CrosstalkSweep, AxisValidation) {

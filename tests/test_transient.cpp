@@ -318,6 +318,29 @@ TEST(TransientProbe, NeverCrossingRunThrowsWithContext) {
   EXPECT_THROW(run_transient(circuit, bad), std::invalid_argument);
 }
 
+// record_only keeps one column of the every-node record, bit for bit: the
+// same sample times and values, on the sparse path (a 60-segment ladder).
+TEST(Transient, RecordOnlyKeepsOneColumnOfTheFullRecord) {
+  const Circuit circuit =
+      build_gate_line_load({100.0, {200.0, 5e-9, 1e-12}, 50e-15}, 60);
+  TransientOptions opt;
+  opt.t_stop = 2e-10;
+  const TransientResult full = run_transient(circuit, opt);
+  opt.record_only = "out";
+  const TransientResult one = run_transient(circuit, opt);
+  ASSERT_TRUE(full.used_sparse_solver);
+  EXPECT_EQ(full.waveforms.node_names().size(), circuit.node_count());
+  EXPECT_EQ(one.waveforms.node_names(), std::vector<std::string>{"out"});
+  const std::vector<double>& t_full = full.waveforms.time();
+  const std::vector<double>& t_one = one.waveforms.time();
+  const std::vector<double> v_full = full.waveforms.trace("out").value();
+  const std::vector<double> v_one = one.waveforms.trace("out").value();
+  ASSERT_EQ(t_one.size(), t_full.size());
+  ASSERT_EQ(v_one.size(), v_full.size());
+  EXPECT_EQ(std::memcmp(t_one.data(), t_full.data(), t_full.size() * sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(v_one.data(), v_full.data(), v_full.size() * sizeof(double)), 0);
+}
+
 TEST(Transient, OptionValidation) {
   const Circuit c = rc_charger(1.0, 1e-12);
   TransientOptions bad;
@@ -326,6 +349,11 @@ TEST(Transient, OptionValidation) {
   bad.t_stop = 1e-9;
   bad.dt = 2e-9;
   EXPECT_THROW(run_transient(c, bad), std::invalid_argument);
+  bad.dt = 0.0;
+  for (const char* node : {"nowhere", "0"}) {
+    bad.record_only = node;
+    EXPECT_THROW(run_transient(c, bad), std::invalid_argument) << node;
+  }
 }
 
 // Convergence order probe: halving dt must shrink the trapezoidal error
